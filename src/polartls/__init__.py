@@ -10,6 +10,7 @@ conversion helper.
 """
 
 from .cascade import (
+    Ensemble,
     SpectrumHistogram,
     Trajectory,
     emission_spectrum,
@@ -70,6 +71,7 @@ __all__ = [
     "CancellationWarning",
     "DEBYE",
     "DressedState",
+    "Ensemble",
     "Gamma0Params",
     "ModelParams",
     "OverlapValue",

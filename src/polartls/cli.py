@@ -35,9 +35,9 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .cascade import emission_spectrum, sample_ensemble, write_trajectory_log
+from .cascade import RNG_SCHEME, emission_spectrum, sample_ensemble, write_trajectory_log
 from .ladder import DressedState, allowed_final_indices
-from .overlaps import ModelParams, overlap_bessel, overlap_exact
+from .overlaps import MAX_LADDER_INDEX, ModelParams, overlap_bessel, overlap_exact
 from .rates import (
     DEBYE,
     Gamma0Params,
@@ -442,16 +442,41 @@ def _cmd_sweep(args) -> int:
 
 
 def _params_from_args(args) -> ModelParams:
-    return ModelParams.from_ratios(
-        coupling_ratio=args.omega_a,
-        drive_ratio=args.omega_l,
-        phase=getattr(args, "phi", 0.0) or 0.0,
-    )
+    try:
+        return ModelParams.from_ratios(
+            coupling_ratio=args.omega_a,
+            drive_ratio=args.omega_l,
+            phase=getattr(args, "phi", 0.0) or 0.0,
+        )
+    except ValueError as exc:
+        raise _UsageError(f"bad --omega-a/--omega-l/--phi: {exc}") from None
+
+
+def _state_from_args(args, params: ModelParams) -> DressedState:
+    """The ``--branch``/``--n`` state, checked against the ladder-index limit.
+
+    Rate tables from ``(e,n)`` reach index ``n + floor(omega0/omega_L)``
+    (cascades from it reach no further); from ``(g,n)`` they stay at or
+    below ``n``.
+    """
+    try:
+        state = DressedState(args.branch, args.n)
+    except ValueError as exc:
+        raise _UsageError(f"bad --n: {exc}") from None
+    finals = allowed_final_indices(state, params)
+    reach = max(state.n, finals[-1] if finals else 0)
+    if reach > MAX_LADDER_INDEX:
+        raise _UsageError(
+            f"({state.branch},{state.n}) at --omega-l {args.omega_l:g} reaches "
+            f"ladder index {reach}, past the limit {MAX_LADDER_INDEX}; "
+            "raise --omega-l or lower --n"
+        )
+    return state
 
 
 def _cmd_rate(args) -> int:
     params = _params_from_args(args)
-    state = DressedState(args.branch, args.n)
+    state = _state_from_args(args, params)
     if args.to is not None:
         if args.to not in allowed_final_indices(state, params):
             raise _UsageError(
@@ -499,27 +524,36 @@ def _cmd_semiclassical(args) -> int:
 
 
 def _cmd_cascade(args) -> int:
+    if not (math.isfinite(args.bin_width) and args.bin_width > 0.0):
+        raise _UsageError(f"--bin-width must be finite and > 0, got {args.bin_width!r}")
+    if not 0 <= args.seed < 2**64:
+        raise _UsageError(f"--seed must be in [0, 2**64), got {args.seed}")
+    if args.trajectories < 0:
+        raise _UsageError(f"--trajectories must be >= 0, got {args.trajectories}")
+    if args.max_jumps < 1:
+        raise _UsageError(f"--max-jumps must be >= 1, got {args.max_jumps}")
     params = _params_from_args(args)
-    start = DressedState(args.branch, args.n)
-    trajectories = sample_ensemble(
+    start = _state_from_args(args, params)
+    ensemble = sample_ensemble(
         start,
         params,
         seed=args.seed,
         n_trajectories=args.trajectories,
         max_jumps=args.max_jumps,
-        threads=args.threads or 1,
+        threads=args.threads,
     )
-    write_trajectory_log(trajectories, args.output)
-    spectrum = emission_spectrum(trajectories, args.bin_width)
-    jump_counts = [len(t.jumps) for t in trajectories]
-    total_times = [t.jumps[-1][0] for t in trajectories if t.jumps]
+    write_trajectory_log(ensemble, args.output)
+    spectrum = emission_spectrum(ensemble, args.bin_width)
+    jump_counts = ensemble.jump_counts
+    total_times = ensemble.time[ensemble.row_start[1:][jump_counts > 0] - 1]
     summary = {
-        "trajectories": len(trajectories),
-        "truncated": sum(t.truncated for t in trajectories),
-        "mean_jumps": float(np.mean(jump_counts)) if jump_counts else 0.0,
-        "mean_total_time": float(np.mean(total_times)) if total_times else 0.0,
+        "trajectories": len(ensemble),
+        "truncated": int(np.count_nonzero(ensemble.truncated)),
+        "mean_jumps": float(np.mean(jump_counts)) if jump_counts.size else 0.0,
+        "mean_total_time": float(np.mean(total_times)) if total_times.size else 0.0,
         "total_photons": spectrum.total_photons,
         "spectrum_bin_width": args.bin_width,
+        "rng": RNG_SCHEME,
         "spectrum": [
             [float(center), float(weight)]
             for center, weight in zip(spectrum.bin_centers, spectrum.weights)
@@ -534,6 +568,7 @@ def _cmd_cascade(args) -> int:
         print(f"mean_jumps = {summary['mean_jumps']:.6g}")
         print(f"mean_total_time = {summary['mean_total_time']:.6g}  (1/gamma0 units)")
         print(f"total_photons = {summary['total_photons']}")
+        print(f"rng = {summary['rng']}")
         print("spectrum (center omega/omega0, weight):")
         for center, weight in summary["spectrum"]:
             print(f"  {center:.6g}, {weight:.6g}")
@@ -638,7 +673,10 @@ def _build_parser() -> argparse.ArgumentParser:
     cascade.add_argument("--output", required=True, help="trajectory log path")
     cascade.add_argument("--bin-width", type=float, default=0.05)
     cascade.add_argument("--format", choices=("csv", "json"), default="csv")
-    cascade.add_argument("--threads", type=int, default=1)
+    cascade.add_argument(
+        "--threads", type=int, default=1,
+        help="accepted and ignored: all trajectories advance in one numpy step",
+    )
     cascade.set_defaults(handler=_cmd_cascade)
 
     gamma0 = sub.add_parser("gamma0", help="absolute decay rate in SI units")

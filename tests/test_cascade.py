@@ -5,8 +5,12 @@ import math
 import numpy as np
 import pytest
 
+import polartls.cascade as cascade_module
 from polartls.cascade import (
+    RNG_SCHEME,
     Trajectory,
+    _jump_kernel,
+    _philox4x64,
     emission_spectrum,
     sample_ensemble,
     sample_trajectory,
@@ -172,3 +176,155 @@ class TestTrajectoryLog:
         lines = path.read_text().splitlines()
         assert "\t" in lines[1]
         assert len(lines[1].split("\t")) == 8
+
+
+def _replay(start, params, seed, stream, max_jumps=1000):
+    """One trajectory stepped in Python from numpy's own Philox stream."""
+    words = np.random.Philox(key=seed + (stream << 64)).random_raw(4 * max_jumps)
+    state, time, jumps = start, 0.0, []
+    while True:
+        table = total_rate(state, params)
+        live = [t for t in table.transitions if t.rate_over_gamma0 > 0.0]
+        if not live:
+            return jumps, False
+        if len(jumps) == max_jumps:
+            return jumps, True
+        w0, w1 = (int(w) for w in words[4 * len(jumps) : 4 * len(jumps) + 2])
+        cumulative = np.cumsum([t.rate_over_gamma0 for t in live])
+        total = float(cumulative[-1])
+        cumulative /= total
+        cumulative[-1] = 1.0
+        time -= math.log(((w0 >> 11) + 1) * 2.0**-53) / total
+        pick = int(np.searchsorted(cumulative, (w1 >> 11) * 2.0**-53, side="right"))
+        record = live[min(pick, len(live) - 1)]
+        jumps.append((time, record))
+        state = record.final
+
+
+class TestRandomStream:
+    def test_philox_matches_numpy(self):
+        rng = np.random.default_rng(8)
+        top = 2**64 - 1
+        key0s = [int(k) for k in rng.integers(0, 2**64, 6, dtype=np.uint64)]
+        key0s += [0, top, top - 1]
+        key1 = np.concatenate(
+            [rng.integers(0, 2**64, 8, dtype=np.uint64),
+             np.array([0, 1, top - 2, top], dtype=np.uint64)]
+        )
+        for key0 in key0s:
+            streams = [
+                np.random.Philox(key=key0 + (k << 64)).random_raw(32)
+                for k in key1.tolist()
+            ]
+            for counter in range(1, 9):
+                block = np.stack(_philox4x64(counter, key0, key1), axis=1)
+                expected = np.stack([w[4 * (counter - 1) : 4 * counter] for w in streams])
+                assert np.array_equal(block, expected)
+
+    def test_matches_python_replay(self):
+        p = ModelParams.from_ratios(1.0, 0.45)
+        start = DressedState("e", 9)
+        ens = sample_ensemble(start, p, seed=2**64 - 5, n_trajectories=12)
+        for i, traj in enumerate(ens):
+            jumps, truncated = _replay(start, p, 2**64 - 5, i)
+            assert traj.jumps == tuple(jumps)
+            assert traj.truncated == truncated
+        t = sample_trajectory(DressedState("e", 40), ModelParams.from_ratios(2.0, 1.6),
+                              seed=5, max_jumps=3, stream=77)
+        jumps, truncated = _replay(
+            DressedState("e", 40), ModelParams.from_ratios(2.0, 1.6), 5, 77, max_jumps=3
+        )
+        assert (t.jumps, t.truncated) == (tuple(jumps), truncated)
+
+    def test_golden_first_jumps(self):
+        # Pins philox4x64-inv-v1; a change here is a stream break to version.
+        assert RNG_SCHEME == "philox4x64-inv-v1"
+        p = ModelParams.from_ratios(1.0, 0.45)
+        ens = sample_ensemble(DressedState("e", 6), p, seed=2718, n_trajectories=4)
+        assert [t.jumps[0][0] for t in ens] == [
+            0.013829541545490263,
+            0.24007577414117034,
+            0.04433641986177986,
+            0.010345365546626602,
+        ]
+        assert [t.jumps[0][1].final.n for t in ens] == [1, 1, 3, 2]
+        assert [t.jumps[-1][1].final for t in ens] == [
+            DressedState("g", 1),
+            DressedState("g", 1),
+            DressedState("g", 0),
+            DressedState("g", 2),
+        ]
+        # The first uniform of stream 63 is one where AVX-512 np.log and
+        # the C library's log differ in the last bit; the stream uses libm.
+        t = sample_trajectory(DressedState("e", 6), p, seed=2718, stream=63)
+        assert t.jumps[0][0] == 0.0057528919585224415
+
+    def test_trajectory_depends_only_on_seed_and_stream(self):
+        p = ModelParams.from_ratios(1.0, 0.45)
+        start = DressedState("e", 7)
+        small = sample_ensemble(start, p, seed=99, n_trajectories=10)
+        large = sample_ensemble(start, p, seed=99, n_trajectories=40)
+        assert small == large[:10]
+        assert small != large
+        for i in (0, 9, 39):
+            assert sample_trajectory(start, p, seed=99, stream=i) == large[i]
+
+    def test_kernels_built_only_for_visited_states(self):
+        p = ModelParams.from_ratios(2.0, 1.6)
+        start = DressedState("e", 40)
+        _jump_kernel.cache_clear()
+        ens = sample_ensemble(start, p, seed=5, n_trajectories=50, max_jumps=3)
+        visited = {start} | {ens.states[k] for k in ens.to_state.tolist()}
+        assert ens.truncated.any()
+        assert _jump_kernel.cache_info().misses <= len(visited)
+
+
+class TestEnsembleColumns:
+    def test_columns_match_trajectories(self):
+        p = ModelParams.from_ratios(1.0, 0.45)
+        ens = sample_ensemble(DressedState("e", 6), p, seed=4, n_trajectories=25)
+        rows = [
+            (i, j, time, rec.initial, rec.final, rec.photon_freq)
+            for i, traj in enumerate(ens)
+            for j, (time, rec) in enumerate(traj.jumps)
+        ]
+        assert ens.trajectory_id.tolist() == [r[0] for r in rows]
+        assert ens.jump_index.tolist() == [r[1] for r in rows]
+        assert ens.time.tolist() == [r[2] for r in rows]
+        assert [ens.states[k] for k in ens.from_state.tolist()] == [r[3] for r in rows]
+        assert [ens.states[k] for k in ens.to_state.tolist()] == [r[4] for r in rows]
+        assert ens.photon_freq.tolist() == [r[5] for r in rows]
+        assert ens.jump_counts.tolist() == [len(t.jumps) for t in ens]
+        assert not ens.time.flags.writeable
+
+    def test_spectrum_same_from_columns_and_objects(self):
+        p = ModelParams.from_ratios(1.0, 0.45)
+        ens = sample_ensemble(DressedState("e", 9), p, seed=17, n_trajectories=60)
+        a = emission_spectrum(ens, bin_width=0.45)
+        b = emission_spectrum(list(ens), bin_width=0.45)
+        assert np.array_equal(a.counts, b.counts)
+        assert np.array_equal(a.bin_edges, b.bin_edges)
+
+
+class TestAtomicLog:
+    def test_failure_leaves_no_partial_or_temp_file(self, tmp_path, monkeypatch):
+        p = ModelParams.from_ratios(1.0, 0.45)
+        ens = sample_ensemble(DressedState("e", 6), p, seed=77, n_trajectories=5)
+        real_chunks = cascade_module._log_chunks
+
+        def failing_chunks(ensemble, delimiter):
+            chunks = real_chunks(ensemble, delimiter)
+            yield next(chunks)
+            raise OSError("disk full")
+
+        monkeypatch.setattr(cascade_module, "_log_chunks", failing_chunks)
+        path = tmp_path / "log.csv"
+        with pytest.raises(OSError, match="disk full"):
+            write_trajectory_log(ens, path)
+        assert list(tmp_path.iterdir()) == []
+
+        path.write_text("previous\n")
+        with pytest.raises(OSError):
+            write_trajectory_log(ens, path)
+        assert path.read_text() == "previous\n"
+        assert list(tmp_path.iterdir()) == [path]

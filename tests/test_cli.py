@@ -288,6 +288,15 @@ class TestQueryCommands:
         out = capsys.readouterr().out
         assert "0.0821391450896" in out
 
+    def test_rate_drive_ratio_past_index_limit(self, capsys):
+        code = main(
+            ["rate", "--branch", "e", "--n", "0", "--omega-a", "1", "--omega-l", "1e-9"]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "--omega-l" in err and "1000000" in err
+        assert "ell" not in err
+
     def test_rate_unreachable_channel(self, capsys):
         code = main(
             [
@@ -419,6 +428,53 @@ class TestCascadeCommand:
         assert main(argv + ["--output", str(a)]) == 0
         assert main(argv + ["--output", str(b), "--threads", "4"]) == 0
         assert a.read_text() == b.read_text()
+
+    def test_summary_names_rng_and_log_header_stays_bare(self, tmp_path, capsys):
+        out = tmp_path / "traj.csv"
+        argv = [
+            "cascade", "--branch", "e", "--n", "3", "--omega-a", "0.5",
+            "--omega-l", "0.5", "--seed", "1", "--trajectories", "10",
+            "--output", str(out),
+        ]
+        assert main(argv) == 0
+        assert "rng = philox4x64-inv-v1" in capsys.readouterr().out
+        assert main(argv + ["--format", "json"]) == 0
+        assert json.loads(capsys.readouterr().out)["rng"] == "philox4x64-inv-v1"
+        assert out.read_text().splitlines()[0] == (
+            "# trajectory_id,jump_index,time,from_branch,from_n,"
+            "to_branch,to_n,photon_freq"
+        )
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [
+            ("--bin-width", "0"),
+            ("--bin-width", "nan"),
+            ("--seed", "-1"),
+            ("--seed", str(2**64)),
+            ("--trajectories", "-1"),
+            ("--max-jumps", "0"),
+            ("--omega-l", "0"),
+            ("--n", "-2"),
+        ],
+    )
+    def test_bad_input_is_usage_error_and_writes_nothing(
+        self, tmp_path, capsys, flag, value
+    ):
+        out = tmp_path / "traj.csv"
+        argv = [
+            "cascade", "--branch", "e", "--n", "5", "--omega-a", "0.5",
+            "--omega-l", "0.5", "--seed", "1", "--trajectories", "1000",
+            "--output", str(out),
+        ]
+        if flag in argv:
+            argv[argv.index(flag) + 1] = value
+        else:
+            argv += [flag, value]
+        assert main(argv) == 2
+        assert flag in capsys.readouterr().err
+        assert not out.exists()
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestExitCodes:
