@@ -485,16 +485,22 @@ def write_trajectory_log(ensemble: Ensemble, path, delimiter: str = ",") -> None
             f"write_trajectory_log takes the Ensemble from sample_ensemble, "
             f"got {type(ensemble).__name__}"
         )
+    _write_atomically(path, _log_chunks(ensemble, delimiter), "trajectory log")
+
+
+def _write_atomically(path, chunks, what: str) -> None:
+    """Write ``chunks`` to a temporary file beside ``path`` and rename it into
+    place, so ``path`` ends up complete or untouched and no temporary stays."""
     path = os.fspath(path)
     directory, name = os.path.split(path)
     tmp = os.path.join(directory, f".{name}.{os.getpid()}.{os.urandom(4).hex()}.tmp")
     try:
         handle = open(tmp, "x", encoding="utf-8")
     except OSError as exc:
-        raise OSError(f"cannot write trajectory log {path!r}: {exc}") from exc
+        raise OSError(f"cannot write {what} {path!r}: {exc}") from exc
     try:
         with handle:
-            for chunk in _log_chunks(ensemble, delimiter):
+            for chunk in chunks:
                 handle.write(chunk)
         os.replace(tmp, path)
     except BaseException:

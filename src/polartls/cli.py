@@ -29,25 +29,21 @@ import argparse
 import json
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from .cascade import RNG_SCHEME, emission_spectrum, sample_ensemble, write_trajectory_log
+from .cascade import _checked_count, _checked_seed, _write_atomically
 from .ladder import DressedState, allowed_final_indices
-from .overlaps import MAX_LADDER_INDEX, ModelParams, overlap_bessel, overlap_exact
-from .rates import (
-    DEBYE,
-    Gamma0Params,
-    absorption_rate_g1,
-    gamma0_si,
-    partial_rate,
-    semiclassical_totals,
-    suppression_rate_e0,
-    total_rate,
-)
+from .overlaps import MAX_LADDER_INDEX, ModelParams, _checked_index, overlap_bessel, overlap_exact
+from .rates import DEBYE, Gamma0Params, _rounded_index, gamma0_si, partial_rate, total_rate
+from .rates import absorption_g1_mesh, partial_e0_mesh, semiclassical_mesh, suppression_e0_mesh
+from .rates import semiclassical_totals
+# Not called here, but bench/inprocess.py wraps these two by their names in this module.
+from .rates import absorption_rate_g1, suppression_rate_e0  # noqa: F401
 
 __all__ = ["AxisSpec", "SweepConfig", "run_sweep", "main"]
 
@@ -68,6 +64,8 @@ _DEFAULT_COUPLING_AXIS = "0,4,101,linear"
 _DEFAULT_DRIVE_AXIS = "0.05,2,101,linear"
 _DEFAULT_SQRT_N_AXIS = "100,1000,20,log"
 _DEFAULT_P_VALUES = "0,1,2,3"
+# Grid cells evaluated, formatted and written per block of whole drive rows.
+_SWEEP_BLOCK_CELLS = 4096
 
 
 @dataclass(frozen=True)
@@ -118,7 +116,10 @@ class AxisSpec:
 
 @dataclass(frozen=True)
 class SweepConfig:
-    """Fully resolved sweep request (flags and config file already merged)."""
+    """Fully resolved sweep request (flags and config file already merged).
+
+    ``threads`` is validated and otherwise ignored.
+    """
 
     quantity: str
     output: str
@@ -165,63 +166,63 @@ _ALLOWED_FIXED = {
 }
 
 
-def _grid_tasks(config: SweepConfig):
-    """Point evaluators for the quantities living on the coupling x drive grid."""
+def _usage(check, flag: str, *args):
+    """``check(*args)``, with a ValueError turned into a usage error on ``flag``."""
+    try:
+        return check(*args)
+    except ValueError as exc:
+        raise _UsageError(f"bad {flag}: {exc}") from None
+
+
+def _grid_blocks(config: SweepConfig):
+    """Columns, row count and a generator of blocks of formatted cells (whole
+    drive rows, evaluated by a mesh kernel) for the coupling x drive grid."""
     if config.coupling_axis is None or config.drive_axis is None:
         raise _UsageError(
             f"quantity {config.quantity} sweeps the coupling and drive axes; "
             "both --omega-a and --omega-l axis specs are required"
         )
+    if config.coupling_axis.start < 0.0 or config.drive_axis.start <= 0.0:
+        raise _UsageError("the --omega-a axis must be >= 0 and the --omega-l axis > 0")
     phi = float(_fixed_value(config, "phi", required=False, default=0.0))
+    if not math.isfinite(phi):
+        raise _UsageError(f"phi must be finite, got {phi!r}")
 
+    values = ["value"]
     if config.quantity == "suppression_e0":
-        columns = ["omega_L_over_omega0", "Omega_a_over_omega0", "value"]
-
-        def evaluate(drive, coupling):
-            params = ModelParams.from_ratios(coupling, drive, phi)
-            return (drive, coupling, suppression_rate_e0(params))
-
+        kernel = suppression_e0_mesh
     elif config.quantity == "absorption_g1":
-        columns = ["omega_L_over_omega0", "Omega_a_over_omega0", "value"]
-
-        def evaluate(drive, coupling):
-            params = ModelParams.from_ratios(coupling, drive, phi)
-            return (drive, coupling, absorption_rate_g1(params))
-
+        kernel = absorption_g1_mesh
     elif config.quantity == "partial_e0n":
-        n_prime_raw = _fixed_value(config, "n_prime", required=True)
-        n_prime = int(n_prime_raw)
-        if n_prime != n_prime_raw or n_prime < 0:
-            raise _UsageError(f"n_prime must be an integer >= 0, got {n_prime_raw!r}")
-        columns = ["omega_L_over_omega0", "Omega_a_over_omega0", "value"]
-
-        def evaluate(drive, coupling):
-            params = ModelParams.from_ratios(coupling, drive, phi)
-            state = DressedState("e", 0)
-            if n_prime in allowed_final_indices(state, params):
-                value = partial_rate(state, n_prime, params)
-            else:
-                value = 0.0  # channel closed at this grid point
-            return (drive, coupling, value)
-
+        n_prime = _fixed_value(config, "n_prime", required=True)
+        kernel = partial(partial_e0_mesh, _usage(_checked_index, "n_prime", n_prime, "n_prime"))
     else:  # semiclassical_totals
         n_bar = float(_fixed_value(config, "n_bar", required=True))
-        columns = ["omega_L_over_omega0", "Omega_a_over_omega0", "gamma_e", "gamma_g"]
+        _usage(_rounded_index, "n_bar", n_bar, 1)
+        kernel = partial(semiclassical_mesh, n_bar)
+        values = ["gamma_e", "gamma_g"]
+    columns = ["omega_L_over_omega0", "Omega_a_over_omega0", *values]
 
-        def evaluate(drive, coupling):
-            params = ModelParams.from_ratios(coupling, drive, phi)
-            totals = semiclassical_totals(n_bar, params)
-            return (drive, coupling, totals.gamma_e, totals.gamma_g)
+    couplings = config.coupling_axis.values()
+    drives = config.drive_axis.values()
+    coupling_cells = list(map(repr, couplings.tolist()))
+    drive_cells = list(map(repr, drives.tolist()))
+    step = max(1, _SWEEP_BLOCK_CELLS // couplings.size)
 
-    points = [
-        (float(drive), float(coupling))
-        for drive in config.drive_axis.values()
-        for coupling in config.coupling_axis.values()
-    ]
-    return columns, evaluate, points
+    def blocks():
+        for lo in range(0, drives.size, step):
+            out = kernel(couplings[None, :], drives[lo : lo + step, None])
+            rows = drive_cells[lo : lo + step]
+            yield [
+                [cell for cell in rows for _ in coupling_cells],
+                coupling_cells * len(rows),
+                *(list(map(repr, v.tolist())) for v in np.reshape(out, (len(values), -1))),
+            ]
+
+    return columns, drives.size * couplings.size, blocks()
 
 
-def _overlap_compare_tasks(config: SweepConfig):
+def _overlap_compare_blocks(config: SweepConfig):
     if config.sqrt_n_axis is None:
         raise _UsageError("overlap_compare sweeps a --sqrt-n axis; none given")
     if not config.p_values:
@@ -229,7 +230,7 @@ def _overlap_compare_tasks(config: SweepConfig):
     coupling = float(_fixed_value(config, "omega_a", required=True))
     drive = float(_fixed_value(config, "omega_l", required=True))
     phi = float(_fixed_value(config, "phi", required=False, default=0.0))
-    params = ModelParams.from_ratios(coupling, drive, phi)
+    params = _usage(ModelParams.from_ratios, "omega_a/omega_l/phi", coupling, drive, phi)
 
     points = []
     for sqrt_n in config.sqrt_n_axis.values():
@@ -248,19 +249,21 @@ def _overlap_compare_tasks(config: SweepConfig):
 
     columns = ["sqrt_n", "p", "exact_sq", "bessel_sq"]
 
-    def evaluate(sqrt_n, n, p):
-        exact = overlap_exact(n, n - p, params).abs_squared
-        asymptotic = overlap_bessel(n, p, params).abs_squared
-        return (sqrt_n, p, exact, asymptotic)
+    def blocks():
+        for sqrt_n, n, p in points:
+            exact = overlap_exact(n, n - p, params).abs_squared
+            asymptotic = overlap_bessel(n, p, params).abs_squared
+            yield [[repr(sqrt_n)], [str(p)], [repr(exact)], [repr(asymptotic)]]
 
-    return columns, evaluate, points
+    return columns, len(points), blocks()
 
 
 def run_sweep(config: SweepConfig) -> int:
     """Evaluate the configured grid and write it; returns the row count.
 
-    Output is deterministic for identical configs: rows follow grid
-    order (outer axis major) no matter how many threads evaluate them.
+    Rows follow grid order (outer axis major), and each block is written
+    as soon as it is evaluated to a temporary file that is renamed onto
+    ``config.output`` at the end: the output is complete or absent.
     """
     unknown = set(config.fixed) - _ALLOWED_FIXED[config.quantity]
     if unknown:
@@ -269,58 +272,37 @@ def run_sweep(config: SweepConfig) -> int:
             f"{config.quantity}; allowed: {sorted(_ALLOWED_FIXED[config.quantity])}"
         )
     if config.quantity == "overlap_compare":
-        columns, evaluate, points = _overlap_compare_tasks(config)
+        columns, count, blocks = _overlap_compare_blocks(config)
     else:
-        columns, evaluate, points = _grid_tasks(config)
-
-    if config.threads > 1:
-        with ThreadPoolExecutor(max_workers=config.threads) as pool:
-            rows = list(pool.map(lambda point: evaluate(*point), points))
-    else:
-        rows = [evaluate(*point) for point in points]
-
-    if config.fmt == "json":
-        _write_json(config, columns, rows)
-    else:
-        _write_csv(config, columns, rows)
-    return len(rows)
+        columns, count, blocks = _grid_blocks(config)
+    text = _json_chunks if config.fmt == "json" else _csv_chunks
+    _write_atomically(config.output, text(config, columns, blocks), "sweep output")
+    return count
 
 
-def _format_cell(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
+def _csv_chunks(config: SweepConfig, columns, blocks):
+    head = f"# quantity={config.quantity}\n"
+    if config.fixed:
+        pinned = " ".join(f"{k}={config.fixed[k]!r}" for k in sorted(config.fixed))
+        head += f"# fixed {pinned}\n"
+    yield head + ",".join(columns) + "\n"
+    for block in blocks:
+        yield "\n".join(map(",".join, zip(*block))) + "\n"
 
 
-def _write_csv(config: SweepConfig, columns, rows) -> None:
-    try:
-        with open(config.output, "w", encoding="utf-8") as handle:
-            handle.write(f"# quantity={config.quantity}\n")
-            if config.fixed:
-                pinned = " ".join(
-                    f"{k}={config.fixed[k]!r}" for k in sorted(config.fixed)
-                )
-                handle.write(f"# fixed {pinned}\n")
-            handle.write(",".join(columns) + "\n")
-            for row in rows:
-                handle.write(",".join(_format_cell(v) for v in row) + "\n")
-    except OSError as exc:
-        raise OSError(f"cannot write sweep output {config.output!r}: {exc}") from exc
+_JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
-def _write_json(config: SweepConfig, columns, rows) -> None:
-    payload = {
-        "quantity": config.quantity,
-        "fixed": {k: config.fixed[k] for k in sorted(config.fixed)},
-        "columns": list(columns),
-        "rows": [list(row) for row in rows],
-    }
-    try:
-        with open(config.output, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle, indent=1)
-            handle.write("\n")
-    except OSError as exc:
-        raise OSError(f"cannot write sweep output {config.output!r}: {exc}") from exc
+def _json_chunks(config: SweepConfig, columns, blocks):
+    """The text ``json.dump(payload, indent=1)`` writes, one block at a time."""
+    head = {"quantity": config.quantity, "fixed": dict(sorted(config.fixed.items())),
+            "columns": list(columns)}
+    separator = json.dumps(head, indent=1)[:-2] + ',\n "rows": [\n'
+    for block in blocks:
+        rows = [[_JSON_NONFINITE.get(cell, cell) for cell in row] for row in zip(*block)]
+        yield separator + ",\n".join("  [\n   " + ",\n   ".join(row) + "\n  ]" for row in rows)
+        separator = ",\n"
+    yield "\n ]\n}\n"
 
 
 def _read_config_file(path: str) -> dict:
@@ -397,12 +379,7 @@ def _cmd_sweep(args) -> int:
     except (TypeError, ValueError):
         raise _UsageError(f"threads must be an integer, got {threads_raw!r}") from None
 
-    needs_grid = quantity in (
-        "suppression_e0",
-        "absorption_g1",
-        "partial_e0n",
-        "semiclassical_totals",
-    )
+    needs_grid = quantity != "overlap_compare"
     coupling_spec = _resolve(
         args.omega_a, file_settings, "omega_a",
         _DEFAULT_COUPLING_AXIS if needs_grid else None,
@@ -417,13 +394,8 @@ def _cmd_sweep(args) -> int:
     )
     p_spec = _resolve(args.p_values, file_settings, "p_values", _DEFAULT_P_VALUES)
 
-    fixed: dict[str, float] = {}
-    for entry in file_settings.get("fix", []):
-        name, value = _parse_fix_entry(entry)
-        fixed[name] = value
-    for entry in args.fix or []:
-        name, value = _parse_fix_entry(entry)
-        fixed[name] = value
+    # later entries win: flags override the file
+    fixed = dict(map(_parse_fix_entry, [*file_settings.get("fix", []), *(args.fix or [])]))
 
     config = SweepConfig(
         quantity=str(quantity),
@@ -442,14 +414,11 @@ def _cmd_sweep(args) -> int:
 
 
 def _params_from_args(args) -> ModelParams:
-    try:
-        return ModelParams.from_ratios(
-            coupling_ratio=args.omega_a,
-            drive_ratio=args.omega_l,
-            phase=getattr(args, "phi", 0.0) or 0.0,
-        )
-    except ValueError as exc:
-        raise _UsageError(f"bad --omega-a/--omega-l/--phi: {exc}") from None
+    phase = getattr(args, "phi", 0.0) or 0.0
+    return _usage(
+        ModelParams.from_ratios, "--omega-a/--omega-l/--phi",
+        args.omega_a, args.omega_l, phase,
+    )
 
 
 def _state_from_args(args, params: ModelParams) -> DressedState:
@@ -459,10 +428,7 @@ def _state_from_args(args, params: ModelParams) -> DressedState:
     (cascades from it reach no further); from ``(g,n)`` they stay at or
     below ``n``.
     """
-    try:
-        state = DressedState(args.branch, args.n)
-    except ValueError as exc:
-        raise _UsageError(f"bad --n: {exc}") from None
+    state = _usage(DressedState, "--n", args.branch, args.n)
     finals = allowed_final_indices(state, params)
     reach = max(state.n, finals[-1] if finals else 0)
     if reach > MAX_LADDER_INDEX:
@@ -499,11 +465,16 @@ def _cmd_rate(args) -> int:
 
 def _cmd_overlap(args) -> int:
     params = _params_from_args(args)
+    _usage(_checked_index, "--ell", args.ell, "ell")
+    _usage(_checked_index, "--n", args.n, "n")
     bra_sign = +1 if args.bra == "+" else -1
     if args.method == "bessel":
         if args.same:
             raise _UsageError("the asymptotic route only handles opposite ladders")
-        value = overlap_bessel(args.ell, args.ell - args.n, params, bra_sign)
+        # overlap_bessel checks n >= 1 and |p| <= n/10 before it computes.
+        value = _usage(
+            overlap_bessel, "--ell/--n", args.ell, args.ell - args.n, params, bra_sign
+        )
     else:
         ket_sign = bra_sign if args.same else None
         value = overlap_exact(args.ell, args.n, params, bra_sign, ket_sign)
@@ -517,6 +488,7 @@ def _cmd_overlap(args) -> int:
 
 def _cmd_semiclassical(args) -> int:
     params = _params_from_args(args)
+    _usage(_rounded_index, "--n-bar", args.n_bar, 1)
     totals = semiclassical_totals(args.n_bar, params)
     print(f"gamma_e = {totals.gamma_e:.12g}  (gamma0 units)")
     print(f"gamma_g = {totals.gamma_g:.12g}  (gamma0 units)")
@@ -526,12 +498,9 @@ def _cmd_semiclassical(args) -> int:
 def _cmd_cascade(args) -> int:
     if not (math.isfinite(args.bin_width) and args.bin_width > 0.0):
         raise _UsageError(f"--bin-width must be finite and > 0, got {args.bin_width!r}")
-    if not 0 <= args.seed < 2**64:
-        raise _UsageError(f"--seed must be in [0, 2**64), got {args.seed}")
-    if args.trajectories < 0:
-        raise _UsageError(f"--trajectories must be >= 0, got {args.trajectories}")
-    if args.max_jumps < 1:
-        raise _UsageError(f"--max-jumps must be >= 1, got {args.max_jumps}")
+    _usage(_checked_seed, "--seed", args.seed, "seed")
+    _usage(_checked_count, "--trajectories", args.trajectories, "trajectories", 0)
+    _usage(_checked_count, "--max-jumps", args.max_jumps, "max_jumps", 1)
     params = _params_from_args(args)
     start = _state_from_args(args, params)
     ensemble = sample_ensemble(
@@ -630,7 +599,10 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sweep.add_argument("--output", help="output file path")
     sweep.add_argument("--format", choices=("csv", "json"))
-    sweep.add_argument("--threads", type=int)
+    sweep.add_argument(
+        "--threads", type=int,
+        help="accepted and ignored: grid rows are evaluated in numpy blocks",
+    )
     sweep.set_defaults(handler=_cmd_sweep)
 
     rate = sub.add_parser("rate", help="rate table or single partial rate")

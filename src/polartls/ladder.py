@@ -12,6 +12,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .overlaps import ModelParams
 
 __all__ = [
@@ -91,12 +93,13 @@ def dressed_energy(
     return energy
 
 
-def _snapped_boundary(state: DressedState, params: ModelParams) -> float:
-    limit = state.n + state.sign * params.omega0 / params.omega_drive
-    nearest = round(limit)
-    if abs(limit - nearest) <= _BOUNDARY_SNAP * max(1.0, abs(limit)):
-        return float(nearest)
-    return limit
+def _snapped(limit):
+    """``limit`` moved onto the nearest integer when within ``_BOUNDARY_SNAP``
+    of it (relative, floor 1); elementwise on arrays, a float for scalars."""
+    nearest = np.rint(limit)  # half to even, as round() does
+    near = np.abs(limit - nearest) <= _BOUNDARY_SNAP * np.maximum(1.0, np.abs(limit))
+    snapped = np.where(near, nearest, limit)
+    return snapped if snapped.ndim else float(snapped)
 
 
 def allowed_final_indices(state: DressedState, params: ModelParams) -> range:
@@ -108,7 +111,8 @@ def allowed_final_indices(state: DressedState, params: ModelParams) -> range:
     frequency factor, so totals are unaffected either way.  An empty
     range is a valid result (a dark state).
     """
-    upper = math.floor(_snapped_boundary(state, params))
+    limit = state.n + state.sign * params.omega0 / params.omega_drive
+    upper = math.floor(_snapped(limit))
     if upper < 0:
         return range(0)
     return range(0, upper + 1)

@@ -150,17 +150,19 @@ def _bessel_j_orders(orders: np.ndarray, x: float) -> np.ndarray:
     return np.where(odd_negative, -values, values)
 
 
-def bessel_truncation_order(x: float) -> int:
+def bessel_truncation_order(x):
     """Smallest summation cutoff P with a negligible Bessel tail.
 
     Past the turning point ``p ~ x`` the values J_p(x) die faster than
     exponentially; ``P >= x + 40 x^{1/3} + 20`` keeps every closure-sum
-    tail below 1e-14 over the supported argument range.
+    tail below 1e-14 over the supported argument range.  Elementwise on
+    arrays (an integer array back); an int for a scalar.
     """
-    x = float(x)
-    if x < 0.0:
+    x = np.asarray(x, dtype=float)
+    if np.any(x < 0.0):
         raise ValueError("x must be nonnegative")
-    return math.ceil(x + 40.0 * x ** (1.0 / 3.0) + 20.0)
+    order = np.ceil(x + 40.0 * x ** (1.0 / 3.0) + 20.0).astype(np.int64)
+    return order if order.ndim else int(order)
 
 
 def _checked_int(value, name: str) -> int:

@@ -35,6 +35,7 @@ from scipy.special import gammaln
 from .numerics import (
     SIGNED_LOG_ZERO,
     SignedLog,
+    _checked_int,
     _signed_log_sum_arrays,
     assoc_laguerre,
     assoc_laguerre_sequence,
@@ -188,12 +189,7 @@ _OVERLAP_ONE = OverlapValue(0.0, 0.0)
 
 
 def _checked_index(value, name: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        if isinstance(value, float) and value.is_integer():
-            value = int(value)
-        else:
-            raise ValueError(f"{name} must be an integer, got {value!r}")
-    value = int(value)
+    value = _checked_int(value, name)
     if not 0 <= value <= MAX_LADDER_INDEX:
         raise ValueError(f"0 <= {name} <= {MAX_LADDER_INDEX} required, got {value}")
     return value
@@ -264,6 +260,7 @@ def _series_sum(ell: int, n: int, beta: float) -> SignedLog:
 
 def _log_magnitude(ell: int, n: int, beta: float) -> SignedLog:
     """ln|overlap| with the series sign attached (phase factors excluded)."""
+    ell, n = max(ell, n), min(ell, n)  # the series is symmetric; one order, one result
     series = _series_sum(ell, n, beta)
     if series.sign == 0:
         return SIGNED_LOG_ZERO
@@ -342,12 +339,7 @@ def overlap_bessel(
     n = _checked_index(n, "n")
     if n < 1:
         raise ValueError("n >= 1 required for the asymptotic overlap")
-    if isinstance(p, bool) or not isinstance(p, (int, np.integer)):
-        if isinstance(p, float) and p.is_integer():
-            p = int(p)
-        else:
-            raise ValueError(f"p must be an integer, got {p!r}")
-    p = int(p)
+    p = _checked_int(p, "p")
     if abs(p) > n / 10:
         raise ValueError(
             f"|p| <= n/10 required for the asymptotic regime, got p={p}, n={n}"
@@ -387,9 +379,7 @@ def displacement_matrix_oracle(alpha: complex, dim: int):
     ArithmeticError
         If the certified deficit exceeds 1e-8.
     """
-    if isinstance(dim, bool) or not isinstance(dim, (int, np.integer)):
-        raise ValueError(f"dim must be an integer, got {dim!r}")
-    dim = int(dim)
+    dim = _checked_int(dim, "dim")
     if not 1 <= dim <= 2000:
         raise ValueError(f"1 <= dim <= 2000 required, got {dim}")
     alpha = complex(alpha)

@@ -17,10 +17,12 @@ from dataclasses import dataclass
 from typing import Mapping, NamedTuple
 
 import numpy as np
+from scipy.special import gammaln
 
-from .ladder import DressedState, TransitionRecord, allowed_final_indices, photon_frequency
-from .numerics import _bessel_j_orders, bessel_j, bessel_truncation_order
-from .overlaps import ModelParams, overlap_log_abs
+from .ladder import DressedState, TransitionRecord, _snapped
+from .ladder import allowed_final_indices, photon_frequency
+from .numerics import _bessel_j_orders, _checked_int, bessel_j, bessel_truncation_order
+from .overlaps import ModelParams, _checked_index, overlap_log_abs
 
 __all__ = [
     "RateTable",
@@ -31,6 +33,10 @@ __all__ = [
     "total_rate",
     "suppression_rate_e0",
     "absorption_rate_g1",
+    "suppression_e0_mesh",
+    "absorption_g1_mesh",
+    "partial_e0_mesh",
+    "semiclassical_mesh",
     "weighted_total_rate",
     "semiclassical_partial",
     "semiclassical_totals",
@@ -47,8 +53,6 @@ REDUCED_PLANCK = 1.0545718176461565e-34  # J s
 VACUUM_PERMITTIVITY = 8.8541878128e-12  # F / m
 SPEED_OF_LIGHT = 299792458.0  # m / s (exact)
 DEBYE = 3.335640951981521e-30  # C m (1e-21 / c, exact definition)
-
-_BOUNDARY_SNAP = 1e-9
 
 
 @dataclass(frozen=True)
@@ -204,6 +208,62 @@ def total_rate(from_state: DressedState, params: ModelParams) -> RateTable:
     )
 
 
+# The *_mesh kernels take coupling_abs/omega0 and omega_drive/omega0 arrays
+# (omega0 = 1) that broadcast together; each cell equals the scalar function
+# on the same ratios bit for bit, whatever the shape of the mesh around it.
+
+
+def _cells(coupling_ratio, drive_ratio):
+    """The broadcast ratios as flat cells, plus the shape to give results in."""
+    c, d = np.asarray(coupling_ratio, float), np.asarray(drive_ratio, float)
+    if c.shape != d.shape:
+        c, d = np.broadcast_arrays(c, d)
+    return c.ravel(), d.ravel(), c.shape
+
+
+_TABLE_TERMS = 1 << 16  # (channel, cell) pairs _ordered_sum holds at once
+
+
+def _ordered_sum(terms, first, last) -> np.ndarray:
+    """``sum_{k=first}^{last} terms(k, i)`` per cell ``i``, added in increasing k.
+
+    ``terms`` takes matching 1-D arrays of channels and cell indices.  A
+    group of cells at a time, the terms fill a channel-by-cell table (zeros
+    past ``last`` leave the nonnegative sums unchanged) that
+    ``np.add.accumulate`` adds down strictly in order, unlike ``np.sum``,
+    whose order depends on the array's shape.
+    """
+    total = np.zeros(first.shape)
+    width = int((last - first).max(initial=0)) + 1
+    step = max(1, _TABLE_TERMS // width)
+    for start in range(0, first.size, step):
+        cells = np.arange(start, min(start + step, first.size))
+        k = first[cells] + np.arange(width)[:, None]
+        live = k <= last[cells]
+        table = np.zeros(k.shape)
+        table[live] = terms(k[live], np.broadcast_to(cells, k.shape)[live])
+        total[cells] = np.add.accumulate(table, axis=0)[-1]
+    return total
+
+
+def suppression_e0_mesh(coupling_ratio, drive_ratio) -> np.ndarray:
+    """:func:`suppression_rate_e0` over broadcast ratio arrays."""
+    c, d, shape = _cells(coupling_ratio, drive_ratio)
+    beta = c / (2.0 * d)
+    lam = beta * beta
+    # Poisson weights die off well inside this window.
+    n_hi = np.minimum(np.floor(_snapped(1.0 / d)), np.ceil(lam + 40.0 * np.sqrt(lam + 1.0) + 20.0))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_beta2 = 2.0 * np.log(beta)
+
+        def terms(n, i):
+            factor = np.maximum(0.0, 1.0 - n * d[i])
+            return np.exp(-lam[i] + n * log_beta2[i] - gammaln(n + 1)) * factor**3
+
+        total = _ordered_sum(terms, np.zeros_like(c), n_hi)
+    return np.where(beta == 0.0, 1.0, total).reshape(shape)
+
+
 def suppression_rate_e0(params: ModelParams) -> float:
     """Closed-form total decay rate of the lowest upper level, over gamma0.
 
@@ -211,29 +271,15 @@ def suppression_rate_e0(params: ModelParams) -> float:
     beta^{2n'} / n'! (1 - n' omega_drive/omega0)^3``; always <= 1, and
     exactly 1 at zero coupling.
     """
-    beta = params.beta
-    if beta == 0.0:
-        return 1.0
-    ratio = params.omega_drive / params.omega0
-    bound = params.omega0 / params.omega_drive
-    nearest = round(bound)
-    if abs(bound - nearest) <= _BOUNDARY_SNAP * max(1.0, abs(bound)):
-        bound = float(nearest)
-    n_hi = math.floor(bound)
-    lam = beta * beta
-    # Poisson weights die off well inside this window.
-    n_hi = min(n_hi, math.ceil(lam + 40.0 * math.sqrt(lam + 1.0) + 20.0))
-    log_beta2 = 2.0 * math.log(beta)
-    terms = []
-    for n_prime in range(n_hi + 1):
-        factor = max(0.0, 1.0 - n_prime * ratio)
-        if factor == 0.0:
-            continue
-        terms.append(
-            math.exp(-lam + n_prime * log_beta2 - math.lgamma(n_prime + 1))
-            * factor**3
-        )
-    return math.fsum(terms)
+    return float(suppression_e0_mesh(params.coupling_ratio, params.drive_ratio))
+
+
+def absorption_g1_mesh(coupling_ratio, drive_ratio) -> np.ndarray:
+    """:func:`absorption_rate_g1` over broadcast ratio arrays."""
+    c, d, shape = _cells(coupling_ratio, drive_ratio)
+    beta = c / (2.0 * d)
+    value = np.exp(-beta * beta) * beta * beta * (d - 1.0) ** 3
+    return np.where(d > 1.0, value, 0.0).reshape(shape)
 
 
 def absorption_rate_g1(params: ModelParams) -> float:
@@ -243,11 +289,22 @@ def absorption_rate_g1(params: ModelParams) -> float:
     ``e^{-beta^2} beta^2 (omega_drive/omega0 - 1)^3``.  Maximized over
     the coupling at ``coupling_abs = 2 omega_drive``.
     """
-    ratio = params.omega_drive / params.omega0
-    if ratio <= 1.0:
-        return 0.0
-    beta = params.beta
-    return math.exp(-beta * beta) * beta * beta * (ratio - 1.0) ** 3
+    return float(absorption_g1_mesh(params.coupling_ratio, params.drive_ratio))
+
+
+def partial_e0_mesh(n_prime: int, coupling_ratio, drive_ratio) -> np.ndarray:
+    """:func:`partial_rate` from ``(e,0)`` to ``(g,n_prime)`` over broadcast ratio
+    arrays, with its one-term overlap written out; 0 where the channel is closed."""
+    n_prime = _checked_index(n_prime, "n_prime")
+    c, d, shape = _cells(coupling_ratio, drive_ratio)
+    beta = c / (2.0 * d)
+    log_fact = math.lgamma(n_prime + 1)
+    with np.errstate(divide="ignore"):
+        series = n_prime * np.log(beta) if n_prime else np.zeros_like(beta)
+    log_abs = -0.5 * beta * beta + 0.5 * log_fact + (series - log_fact)
+    freq = np.maximum(0.0, 0.5 - (n_prime * d - 0.5))
+    is_open = n_prime <= np.floor(_snapped(1.0 / d))
+    return np.where(is_open, np.exp(2.0 * log_abs) * freq**3, 0.0).reshape(shape)
 
 
 def weighted_total_rate(
@@ -262,19 +319,14 @@ def weighted_total_rate(
     )
 
 
-def _rounded_index(n_bar: float) -> int:
+def _rounded_index(n_bar: float, minimum: int = 0) -> int:
     n_bar = float(n_bar)
     if not (math.isfinite(n_bar) and n_bar >= 0.0):
         raise ValueError(f"n_bar must be finite and >= 0, got {n_bar!r}")
-    return round(n_bar)  # round-half-to-even
-
-
-def _snapped_ratio(params: ModelParams) -> float:
-    r0 = params.omega0 / params.omega_drive
-    nearest = round(r0)
-    if abs(r0 - nearest) <= _BOUNDARY_SNAP * max(1.0, r0):
-        return float(nearest)
-    return r0
+    n_round = round(n_bar)  # round-half-to-even
+    if n_round < minimum:
+        raise ValueError(f"[n_bar] >= {minimum} required, got [n_bar]={n_round}")
+    return n_round
 
 
 def semiclassical_partial(
@@ -290,9 +342,7 @@ def semiclassical_partial(
     """
     if branch not in ("e", "g"):
         raise ValueError(f"branch must be 'e' or 'g', got {branch!r}")
-    if isinstance(p, bool) or not isinstance(p, (int, np.integer)):
-        raise ValueError(f"p must be an integer, got {p!r}")
-    p = int(p)
+    p = _checked_int(p, "p")
     sign = +1 if branch == "e" else -1
     n_round = _rounded_index(n_bar)
     if n_round < 10 * abs(p):
@@ -300,7 +350,7 @@ def semiclassical_partial(
             f"[n_bar] >= 10 |p| required for the asymptotic regime, "
             f"got [n_bar]={n_round}, p={p}"
         )
-    r0 = _snapped_ratio(params)
+    r0 = _snapped(params.omega0 / params.omega_drive)
     if p < -sign * r0:
         raise ValueError(
             f"p >= {-sign * r0:g} required on branch {branch!r}, got {p}"
@@ -310,6 +360,35 @@ def semiclassical_partial(
     return bessel_j(p, x) ** 2 * factor**3
 
 
+def semiclassical_mesh(n_bar: float, coupling_ratio, drive_ratio):
+    """:func:`semiclassical_totals` over broadcast ratio arrays: ``(gamma_e, gamma_g)``."""
+    n_round = _rounded_index(n_bar, minimum=1)
+    c, d, shape = _cells(coupling_ratio, drive_ratio)
+    x = c * math.sqrt(n_round) / d
+
+    def terms(p, i):
+        return _bessel_j_orders(p, x[i]) ** 2 * np.maximum(0.0, p * d[i] - 1.0) ** 3
+
+    p_min = np.ceil(_snapped(1.0 / d))
+    p_hi = np.maximum(bessel_truncation_order(x), p_min + 8)
+    gamma_g = _ordered_sum(terms, p_min, p_hi)
+    # The truncation order already sits past the Bessel turning point;
+    # extend in blocks until the remainder is provably negligible.  J_p(0)
+    # vanishes for every channel p >= 1, so uncoupled cells are done.
+    todo = np.flatnonzero(x > 0.0)
+    for _ in range(1000):
+        if todo.size == 0:
+            break
+        p_hi[todo] += 32
+        tail = _ordered_sum(lambda p, i: terms(p, todo[i]), p_hi[todo] - 31, p_hi[todo])
+        gamma_g[todo] += tail
+        todo = todo[~(tail <= 1e-14 * np.maximum(gamma_g[todo], 1.0))]
+    for _ in range(todo.size):
+        warnings.warn("semiclassical tail did not converge; result truncated")
+    gamma_e = 1.0 + 1.5 * c**2 * n_round + gamma_g
+    return gamma_e.reshape(shape), gamma_g.reshape(shape)
+
+
 def semiclassical_totals(n_bar: float, params: ModelParams) -> SemiclassicalTotals:
     """Closed-form large-index totals for both branches, over gamma0.
 
@@ -317,41 +396,8 @@ def semiclassical_totals(n_bar: float, params: ModelParams) -> SemiclassicalTota
     ``gamma_e`` follows from the Bessel closure identities as
     ``1 + (3 coupling_abs^2 / (2 omega0^2)) [n_bar] + gamma_g``.
     """
-    n_round = _rounded_index(n_bar)
-    if n_round < 1:
-        raise ValueError(f"[n_bar] >= 1 required, got [n_bar]={n_round}")
-    if params.coupling_abs == 0.0:
-        return SemiclassicalTotals(1.0, 0.0)
-
-    x = params.coupling_abs * math.sqrt(n_round) / params.omega_drive
-    ratio = params.omega_drive / params.omega0
-    p_min = math.ceil(_snapped_ratio(params))
-    p_hi = max(bessel_truncation_order(x), p_min + 8)
-
-    def block(lo: int, hi: int) -> float:
-        ps = np.arange(lo, hi + 1)
-        js = _bessel_j_orders(ps, x)
-        factors = np.maximum(0.0, ps * ratio - 1.0)
-        return float(np.sum(js * js * factors**3))
-
-    gamma_g = block(p_min, p_hi)
-    # The truncation order already sits past the Bessel turning point;
-    # extend in blocks until the remainder is provably negligible.
-    for _ in range(1000):
-        tail = block(p_hi + 1, p_hi + 32)
-        gamma_g += tail
-        p_hi += 32
-        if tail <= 1e-14 * max(gamma_g, 1.0):
-            break
-    else:
-        warnings.warn("semiclassical tail did not converge; result truncated")
-
-    gamma_e = (
-        1.0
-        + 1.5 * (params.coupling_abs / params.omega0) ** 2 * n_round
-        + gamma_g
-    )
-    return SemiclassicalTotals(gamma_e, gamma_g)
+    totals = semiclassical_mesh(n_bar, params.coupling_ratio, params.drive_ratio)
+    return SemiclassicalTotals(*map(float, totals))
 
 
 def gamma0_si(params: Gamma0Params) -> float:

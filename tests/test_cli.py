@@ -8,8 +8,17 @@ import sys
 import numpy as np
 import pytest
 
+from polartls import cli
 from polartls.cli import AxisSpec, SweepConfig, main, run_sweep
-from polartls.rates import suppression_rate_e0
+from polartls.ladder import DressedState, allowed_final_indices
+from polartls.rates import (
+    absorption_rate_g1,
+    partial_e0_mesh,
+    partial_rate,
+    semiclassical_totals,
+    suppression_e0_mesh,
+    suppression_rate_e0,
+)
 from polartls.overlaps import ModelParams
 
 
@@ -264,6 +273,120 @@ class TestSweepCommand:
         assert "/nonexistent-dir/x.csv" in capsys.readouterr().err
 
 
+def sweep_cells(tmp_path, name, quantity, coupling, drive, *extra):
+    """Run a sweep; return its text and rows as (drive, coupling, values...)."""
+    out = tmp_path / name
+    argv = ["sweep", "--quantity", quantity, "--omega-a", coupling, "--omega-l", drive]
+    assert main([*argv, *extra, "--output", str(out)]) == 0
+    _, _, rows = read_csv(out)
+    return out.read_text(), [[float(cell) for cell in row] for row in rows]
+
+
+class TestSweepMesh:
+    """Every CSV cell equals the scalar library call on its own ratios, on odd
+    grids with zero coupling and drives on the channel boundaries, and the
+    text does not depend on how the grid is cut into blocks."""
+
+    def test_suppression(self, tmp_path):
+        _, rows = sweep_cells(tmp_path, "s.csv", "suppression_e0", "0,4,5", "0.25,0.5,7")
+        assert {d for d, *_ in rows} >= {0.25, 1 / 3, 0.5}
+        for drive, coupling, value in rows:
+            assert value == suppression_rate_e0(ModelParams.from_ratios(coupling, drive))
+            assert value == 1.0 or coupling > 0.0
+
+    def test_absorption(self, tmp_path):
+        _, rows = sweep_cells(tmp_path, "a.csv", "absorption_g1", "0,4,5", "0.5,2.5,5")
+        for drive, coupling, value in rows:
+            assert value == absorption_rate_g1(ModelParams.from_ratios(coupling, drive))
+        assert any(v > 0.0 for *_, v in rows) and any(v == 0.0 for *_, v in rows)
+
+    def test_partial_e0n(self, tmp_path):
+        _, rows = sweep_cells(
+            tmp_path, "p.csv", "partial_e0n", "0,4,5", "0.25,0.75,7", "--fix", "n_prime=2"
+        )
+        state, closed = DressedState("e", 0), 0
+        for drive, coupling, value in rows:
+            assert value == float(partial_e0_mesh(2, coupling, drive))
+            params = ModelParams.from_ratios(coupling, drive)
+            if 2 not in allowed_final_indices(state, params):
+                assert value == 0.0
+                closed += 1
+            else:
+                want = partial_rate(state, 2, params)
+                assert abs(value - want) <= 1e-13 * want
+        assert closed == 3 * 5  # drives 0.58, 0.67, 0.75
+
+    def test_semiclassical(self, tmp_path):
+        _, rows = sweep_cells(
+            tmp_path, "t.csv", "semiclassical_totals", "0,0.01,5", "0.25,0.5,7",
+            "--fix", "n_bar=10000",
+        )
+        for drive, coupling, gamma_e, gamma_g in rows:
+            params = ModelParams.from_ratios(coupling, drive)
+            assert (gamma_e, gamma_g) == tuple(semiclassical_totals(1e4, params))
+
+    @pytest.mark.parametrize(
+        "quantity, extra",
+        [
+            ("suppression_e0", []),
+            ("absorption_g1", []),
+            ("partial_e0n", ["--fix", "n_prime=1"]),
+            ("semiclassical_totals", ["--fix", "n_bar=400"]),
+        ],
+    )
+    def test_blocks_do_not_change_the_text(self, tmp_path, monkeypatch, quantity, extra):
+        coupling = "0,0.02,5" if quantity == "semiclassical_totals" else "0,4,5"
+        whole, _ = sweep_cells(tmp_path, "whole.csv", quantity, coupling, "0.25,1.5,7", *extra)
+        monkeypatch.setattr(cli, "_SWEEP_BLOCK_CELLS", 3)  # one drive row per block
+        rowwise, _ = sweep_cells(tmp_path, "rows.csv", quantity, coupling, "0.25,1.5,7", *extra)
+        assert rowwise == whole
+        # the first two rows alone, as a sweep of their own
+        second = float(np.linspace(0.25, 1.5, 7)[1])
+        first, _ = sweep_cells(
+            tmp_path, "first.csv", quantity, coupling, f"0.25,{second!r},2", *extra
+        )
+        lines = first.splitlines()
+        assert len(lines) > 10 and whole.splitlines()[: len(lines)] == lines
+
+    @pytest.mark.parametrize("quantity", ["suppression_e0", "overlap_compare"])
+    def test_json_is_what_json_dump_writes(self, tmp_path, quantity):
+        out = tmp_path / "s.json"
+        argv = ["sweep", "--quantity", quantity, "--format", "json", "--output", str(out)]
+        if quantity == "overlap_compare":
+            argv += ["--sqrt-n", "100,200,3,log", "--p-values", "0,1",
+                     "--fix", "omega_a=0.001", "--fix", "omega_l=0.9"]
+        else:
+            argv += ["--omega-a", "0,2,3", "--omega-l", "0.4,0.8,3", "--fix", "phi=0.5"]
+        assert main(argv) == 0
+        text = out.read_text()
+        assert text == json.dumps(json.loads(text), indent=1) + "\n"
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_failure_midway_leaves_no_file(self, tmp_path, monkeypatch, capsys, fmt):
+        calls = []
+
+        def fails_on_third_block(coupling, drive):
+            calls.append(drive.size)
+            if len(calls) == 3:
+                raise ArithmeticError("injected failure")
+            return suppression_e0_mesh(coupling, drive)
+
+        monkeypatch.setattr(cli, "suppression_e0_mesh", fails_on_third_block)
+        monkeypatch.setattr(cli, "_SWEEP_BLOCK_CELLS", 5)
+        argv = ["sweep", "--quantity", "suppression_e0", "--omega-a", "0,1,5",
+                "--omega-l", "0.5,1,6", "--format", fmt]
+        out = tmp_path / "s.out"
+        assert main([*argv, "--output", str(out)]) == 1
+        assert calls == [1, 1, 1]
+        assert "injected failure" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+        # an earlier output is left exactly as it was
+        out.write_text("earlier\n")
+        calls.clear()
+        assert main([*argv, "--output", str(out)]) == 1
+        assert list(tmp_path.iterdir()) == [out] and out.read_text() == "earlier\n"
+
+
 class TestQueryCommands:
     def test_rate_uncoupled(self, capsys):
         code = main(
@@ -296,6 +419,40 @@ class TestQueryCommands:
         err = capsys.readouterr().err
         assert "--omega-l" in err and "1000000" in err
         assert "ell" not in err
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["overlap", "--ell", "2000000", "--n", "0"], "--ell"),
+            (["overlap", "--ell", "3", "--n", "-1"], "--n"),
+            (["overlap", "--ell", "0", "--n", "0", "--method", "bessel"], "--ell/--n"),
+            (["semiclassical", "--n-bar", "-5"], "--n-bar"),
+            (["semiclassical", "--n-bar", "0.4"], "--n-bar"),
+        ],
+    )
+    def test_bad_index_is_usage_error(self, capsys, argv, flag):
+        assert main([*argv, "--omega-a", "1", "--omega-l", "0.5"]) == 2
+        assert flag in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            ["--fix", "n_bar=-5"],
+            ["--fix", "n_bar=0"],
+            ["--fix", "n_bar=nan"],
+            ["--fix", "n_bar=100", "--omega-l=-1,2,5"],
+            ["--fix", "n_bar=100", "--omega-a=-1,2,5"],
+            ["--fix", "n_bar=100", "--fix", "phi=inf"],
+        ],
+    )
+    def test_bad_sweep_input_is_usage_error_and_writes_nothing(
+        self, tmp_path, capsys, extra
+    ):
+        out = tmp_path / "s.csv"
+        argv = ["sweep", "--quantity", "semiclassical_totals", "--output", str(out)]
+        assert main([*argv, *extra]) == 2
+        assert "usage error" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     def test_rate_unreachable_channel(self, capsys):
         code = main(

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from polartls.ladder import (
     DressedState,
     TransitionRecord,
+    _snapped,
     allowed_final_indices,
     dressed_energy,
     photon_frequency,
@@ -94,6 +96,30 @@ class TestAllowedFinalIndices:
         e_start = dressed_energy(state, p)
         e_end = dressed_energy(DressedState("g", upper), p)
         assert e_start - e_end < 1e-7 * max(1.0, abs(e_start))
+
+
+class TestBoundarySnap:
+    """One snap rule for every transition boundary (ladder window, the
+    suppression sum's last channel, the semiclassical channel floor)."""
+
+    @pytest.mark.parametrize("drive", [0.5, 0.25, 1 / 3])
+    def test_drives_on_and_near_omega0_over_k(self, drive):
+        k = round(1.0 / drive)
+        for near in (drive, drive + 1e-10, drive - 1e-10):
+            assert _snapped(1.0 / near) == float(k)
+            p = ModelParams.from_ratios(0.5, near)
+            assert list(allowed_final_indices(DressedState("e", 0), p)) == list(range(k + 1))
+        # well outside the snap band the bound stays fractional
+        assert _snapped(1.0 / (drive + 1e-6)) == 1.0 / (drive + 1e-6)
+
+    def test_arrays_match_scalars(self):
+        limits = 1.0 / np.array([[0.5, 0.25, 1 / 3], [0.5 + 1e-10, 0.25 - 1e-10, 0.3]])
+        snapped = _snapped(limits)
+        assert snapped.shape == limits.shape
+        assert [_snapped(x) for x in limits.ravel().tolist()] == snapped.ravel().tolist()
+        assert isinstance(_snapped(3.0000000000000004), float)
+        # relative band with a floor of 1: values near zero snap absolutely
+        assert _snapped(-4e-10) == 0.0 and _snapped(1e3 + 5e-7) == 1e3
 
 
 class TestPhotonFrequency:

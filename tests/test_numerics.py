@@ -124,6 +124,14 @@ class TestBesselJ:
                 expected = (-1) ** p * bessel_j(p, x)
                 assert bessel_j(-p, x) == expected  # exact by construction
 
+    def test_truncation_order_on_arrays(self):
+        xs = [0.0, 0.5, 5.0, 50.0, 500.0]
+        orders = bessel_truncation_order(np.array(xs))
+        assert orders.tolist() == [bessel_truncation_order(x) for x in xs]
+        assert isinstance(bessel_truncation_order(5.0), int)
+        with pytest.raises(ValueError):
+            bessel_truncation_order(np.array([1.0, -1.0]))
+
     def test_truncation_order_covers_tail(self):
         # beyond the truncation order the terms are negligible
         for x in (0.5, 5.0, 50.0, 500.0):

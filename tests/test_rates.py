@@ -1,6 +1,7 @@
 """Transition rates: partial/total, closed forms, semiclassical, SI scale."""
 
 import math
+import warnings
 
 import mpmath as mp
 import numpy as np
@@ -11,19 +12,32 @@ from hypothesis import strategies as st
 from polartls.ladder import DressedState, allowed_final_indices
 from polartls.numerics import bessel_j, bessel_truncation_order
 from polartls.overlaps import ModelParams
+from polartls import rates
 from polartls.rates import (
     DEBYE,
     Gamma0Params,
     PhotonDistribution,
+    absorption_g1_mesh,
     absorption_rate_g1,
     gamma0_si,
+    partial_e0_mesh,
     partial_rate,
+    semiclassical_mesh,
     semiclassical_partial,
     semiclassical_totals,
+    suppression_e0_mesh,
     suppression_rate_e0,
     total_rate,
     weighted_total_rate,
 )
+
+# Drives on and 1e-10 off the channel boundaries omega0/k, plus a few
+# generic ones; couplings include zero.
+MESH_DRIVES = np.array(
+    [0.055, 0.25 - 1e-10, 0.25, 0.25 + 1e-10, 1 / 3 - 1e-10, 1 / 3, 1 / 3 + 1e-10,
+     0.41, 0.5 - 1e-10, 0.5, 0.5 + 1e-10, 0.77, 1.0, 1.0 + 1e-10, 1.3, 2.0, 2.9]
+)
+MESH_COUPLINGS = np.array([0.0, 0.05, 0.3, 1.0, 2.2, 4.1, 7.9])
 
 
 class TestPartialRate:
@@ -296,6 +310,112 @@ class TestSemiclassicalTotals:
         exact = total_rate(DressedState("e", n), p).total_over_gamma0
         semi = semiclassical_totals(float(n), p).gamma_e
         assert abs(exact - semi) / semi <= 0.02
+
+
+class TestMeshKernels:
+    """Each mesh cell equals the scalar call on its ratios bit for bit, and
+    does not depend on the shape or extent of the mesh around it."""
+
+    def mesh_and_row(self, kernel, couplings=MESH_COUPLINGS, drives=MESH_DRIVES):
+        mesh = kernel(couplings[None, :], drives[:, None])
+        assert mesh.shape == (drives.size, couplings.size)
+        for i, drive in enumerate(drives.tolist()):
+            assert np.array_equal(kernel(couplings, drive), mesh[i])
+        return mesh
+
+    def test_suppression(self):
+        mesh = self.mesh_and_row(suppression_e0_mesh)
+        for (i, j), value in np.ndenumerate(mesh):
+            p = ModelParams.from_ratios(float(MESH_COUPLINGS[j]), float(MESH_DRIVES[i]))
+            assert value == suppression_rate_e0(p)
+        assert np.all(mesh[:, 0] == 1.0)
+        assert np.all(mesh <= 1.0)
+
+    def test_absorption(self):
+        mesh = self.mesh_and_row(absorption_g1_mesh)
+        for (i, j), value in np.ndenumerate(mesh):
+            p = ModelParams.from_ratios(float(MESH_COUPLINGS[j]), float(MESH_DRIVES[i]))
+            assert value == absorption_rate_g1(p)
+        assert np.all(mesh[MESH_DRIVES <= 1.0] == 0.0)
+
+    @pytest.mark.parametrize("n_prime", [0, 1, 2, 3, 4])
+    def test_partial_e0_against_partial_rate(self, n_prime):
+        mesh = self.mesh_and_row(lambda c, d: partial_e0_mesh(n_prime, c, d))
+        state = DressedState("e", 0)
+        closed = 0
+        for (i, j), value in np.ndenumerate(mesh):
+            c, d = float(MESH_COUPLINGS[j]), float(MESH_DRIVES[i])
+            assert value == float(partial_e0_mesh(n_prime, c, d))
+            p = ModelParams.from_ratios(c, d)
+            if n_prime not in allowed_final_indices(state, p):
+                assert value == 0.0
+                closed += 1
+                continue
+            want = partial_rate(state, n_prime, p)
+            assert abs(value - want) <= 1e-13 * want
+        assert closed > 0 or n_prime == 0
+
+    def test_semiclassical(self):
+        couplings = np.array([0.0, 1e-4, 1e-3, 5e-3, 2e-2])
+        drives = MESH_DRIVES[1:]
+        for n_bar in (1.0, 2500.4, 1e4):
+            gamma_e, gamma_g = semiclassical_mesh(n_bar, couplings[None, :], drives[:, None])
+            for (i, j), ge in np.ndenumerate(gamma_e):
+                p = ModelParams.from_ratios(float(couplings[j]), float(drives[i]))
+                assert (ge, gamma_g[i, j]) == tuple(semiclassical_totals(n_bar, p))
+                row_e, row_g = semiclassical_mesh(n_bar, couplings, float(drives[i]))
+                assert (row_e[j], row_g[j]) == (ge, gamma_g[i, j])
+            assert np.all(gamma_e[:, 0] == 1.0) and np.all(gamma_g[:, 0] == 0.0)
+
+    def test_against_math_loops(self):
+        # The per-point loops the kernels replaced (libm and math.fsum), with
+        # tolerances from the double-precision unit roundoff: a few ulp per
+        # term from exp/pow, plus one per addition of the ordered sum.
+        eps = np.finfo(float).eps
+        sup = suppression_e0_mesh(MESH_COUPLINGS[None, :], MESH_DRIVES[:, None])
+        absn = absorption_g1_mesh(MESH_COUPLINGS[None, :], MESH_DRIVES[:, None])
+        for (i, j), value in np.ndenumerate(sup):
+            c, d = float(MESH_COUPLINGS[j]), float(MESH_DRIVES[i])
+            beta = c / (2.0 * d)
+            n_hi = math.floor(1.0 / d + 1e-9)
+            terms = [
+                math.exp(-beta * beta + 2 * k * math.log(beta) - math.lgamma(k + 1))
+                * max(0.0, 1.0 - k * d) ** 3
+                for k in range(n_hi + 1)
+            ] if beta > 0.0 else [1.0]
+            assert abs(value - math.fsum(terms)) <= 8 * (n_hi + 1) * eps * math.fsum(terms)
+            want = math.exp(-beta * beta) * beta * beta * (d - 1.0) ** 3 if d > 1.0 else 0.0
+            assert abs(absn[i, j] - want) <= 8 * eps * want
+
+    def test_ordered_sum_ignores_grouping(self, monkeypatch):
+        c, d = np.geomspace(1e-4, 2e-2, 9)[None, :], MESH_DRIVES[:, None]
+        before = (*semiclassical_mesh(1e4, c, d), suppression_e0_mesh(c * 400.0, d))
+        monkeypatch.setattr(rates, "_TABLE_TERMS", 37)  # groups of one to a few cells
+        after = (*semiclassical_mesh(1e4, c, d), suppression_e0_mesh(c * 400.0, d))
+        for old, new in zip(before, after):
+            assert np.array_equal(old, new)
+
+    def test_semiclassical_warns_once_per_unconverged_point(self, monkeypatch):
+        # Bessel values that never decay keep every tail block large.
+        monkeypatch.setattr(
+            rates, "_bessel_j_orders", lambda p, x: np.ones(np.broadcast(p, x).shape)
+        )
+        couplings, drives = np.array([0.0, 1e-3, 2e-3]), np.array([0.5, 1.5])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            semiclassical_mesh(100.0, couplings[None, :], drives[:, None])
+            assert len(caught) == 4  # every coupled cell; uncoupled cells converge
+            semiclassical_totals(100.0, ModelParams.from_ratios(1e-3, 0.5))
+            assert len(caught) == 5
+        assert all("did not converge" in str(w.message) for w in caught)
+
+    def test_validation(self):
+        with pytest.raises(ValueError):
+            semiclassical_mesh(0.0, 0.1, 0.5)
+        with pytest.raises(ValueError):
+            semiclassical_mesh(-5.0, 0.1, 0.5)
+        with pytest.raises(ValueError):
+            partial_e0_mesh(-1, 0.1, 0.5)
 
 
 class TestGamma0:
