@@ -27,15 +27,12 @@ from .ladder import (
     photon_frequency,
 )
 from .numerics import (
-    CancellationWarning,
     PrecisionLossWarning,
     SignedLog,
     assoc_laguerre,
     assoc_laguerre_sequence,
     bessel_j,
     bessel_truncation_order,
-    log_gamma,
-    signed_log_sum,
 )
 from .overlaps import (
     ModelParams,
@@ -68,7 +65,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AxisSpec",
-    "CancellationWarning",
     "DEBYE",
     "DressedState",
     "Ensemble",
@@ -97,7 +93,6 @@ __all__ = [
     "dressed_energy",
     "emission_spectrum",
     "gamma0_si",
-    "log_gamma",
     "main",
     "overlap_bessel",
     "overlap_exact",
@@ -109,7 +104,6 @@ __all__ = [
     "sample_trajectory",
     "semiclassical_partial",
     "semiclassical_totals",
-    "signed_log_sum",
     "suppression_rate_e0",
     "total_rate",
     "weighted_total_rate",

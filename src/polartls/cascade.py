@@ -36,6 +36,7 @@ from functools import lru_cache
 import numpy as np
 
 from .ladder import DressedState, TransitionRecord
+from .numerics import _checked_int
 from .overlaps import ModelParams
 from .rates import total_rate
 
@@ -52,8 +53,8 @@ __all__ = [
 
 RNG_SCHEME = "philox4x64-inv-v1"
 
-_MAX_SEED = 2**64
 _MASK64 = 2**64 - 1
+_MAX_SEED = _MASK64  # a seed or stream is one 64-bit key word
 
 # Philox4x64-10 constants (Salmon et al., "Parallel random numbers: as
 # easy as 1, 2, 3", SC'11): round multipliers and key-schedule increments.
@@ -276,21 +277,6 @@ def _philox4x64(counter: int, key0: int, key1: np.ndarray) -> tuple[np.ndarray, 
     return c0, c1, c2, c3
 
 
-def _checked_seed(value, name: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    value = int(value)
-    if not 0 <= value < _MAX_SEED:
-        raise ValueError(f"0 <= {name} < 2**64 required, got {value}")
-    return value
-
-
-def _checked_count(value, name: str, minimum: int) -> int:
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < minimum:
-        raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
-    return int(value)
-
-
 def _sample(
     start: DressedState,
     params: ModelParams,
@@ -382,9 +368,9 @@ def sample_trajectory(
     Equal to trajectory ``stream`` of any :func:`sample_ensemble` run
     with the same seed that is long enough to contain it.
     """
-    seed = _checked_seed(seed, "seed")
-    stream = _checked_seed(stream, "stream")
-    max_jumps = _checked_count(max_jumps, "max_jumps", 1)
+    seed = _checked_int(seed, "seed", 0, _MAX_SEED)
+    stream = _checked_int(stream, "stream", 0, _MAX_SEED)
+    max_jumps = _checked_int(max_jumps, "max_jumps", 1)
     return _sample(start, params, seed, stream, 1, max_jumps)[0]
 
 
@@ -401,9 +387,9 @@ def sample_ensemble(
     ``threads`` is accepted and ignored: every trajectory already
     advances in the same numpy step, which a thread pool only slowed.
     """
-    seed = _checked_seed(seed, "seed")
-    n_trajectories = _checked_count(n_trajectories, "n_trajectories", 0)
-    max_jumps = _checked_count(max_jumps, "max_jumps", 1)
+    seed = _checked_int(seed, "seed", 0, _MAX_SEED)
+    n_trajectories = _checked_int(n_trajectories, "n_trajectories", 0)
+    max_jumps = _checked_int(max_jumps, "max_jumps", 1)
     return _sample(start, params, seed, 0, n_trajectories, max_jumps)
 
 

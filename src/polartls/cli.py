@@ -36,8 +36,9 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .cascade import RNG_SCHEME, emission_spectrum, sample_ensemble, write_trajectory_log
-from .cascade import _checked_count, _checked_seed, _write_atomically
+from .cascade import _MAX_SEED, _write_atomically
 from .ladder import DressedState, allowed_final_indices
+from .numerics import _checked_int
 from .overlaps import MAX_LADDER_INDEX, ModelParams, _checked_index, overlap_bessel, overlap_exact
 from .rates import DEBYE, Gamma0Params, _rounded_index, gamma0_si, partial_rate, total_rate
 from .rates import absorption_g1_mesh, partial_e0_mesh, semiclassical_mesh, suppression_e0_mesh
@@ -80,10 +81,7 @@ class AxisSpec:
     def __post_init__(self):
         if self.scale not in ("linear", "log"):
             raise _UsageError(f"axis scale must be linear or log, got {self.scale!r}")
-        if isinstance(self.steps, bool) or not isinstance(self.steps, int):
-            raise _UsageError(f"axis steps must be an integer, got {self.steps!r}")
-        if self.steps < 2:
-            raise _UsageError(f"axis needs steps >= 2, got {self.steps}")
+        object.__setattr__(self, "steps", _usage(_checked_int, "axis", self.steps, "steps", 2))
         if not (math.isfinite(self.start) and math.isfinite(self.stop)):
             raise _UsageError("axis endpoints must be finite")
         if not self.start < self.stop:
@@ -116,15 +114,11 @@ class AxisSpec:
 
 @dataclass(frozen=True)
 class SweepConfig:
-    """Fully resolved sweep request (flags and config file already merged).
-
-    ``threads`` is validated and otherwise ignored.
-    """
+    """Fully resolved sweep request (flags and config file already merged)."""
 
     quantity: str
     output: str
     fmt: str = "csv"
-    threads: int = 1
     coupling_axis: AxisSpec | None = None
     drive_axis: AxisSpec | None = None
     sqrt_n_axis: AxisSpec | None = None
@@ -139,10 +133,6 @@ class SweepConfig:
             )
         if self.fmt not in ("csv", "json"):
             raise _UsageError(f"format must be csv or json, got {self.fmt!r}")
-        if isinstance(self.threads, bool) or not isinstance(self.threads, int):
-            raise _UsageError(f"threads must be an integer, got {self.threads!r}")
-        if self.threads < 1:
-            raise _UsageError(f"threads must be >= 1, got {self.threads}")
         object.__setattr__(self, "fixed", dict(self.fixed))
 
 
@@ -195,6 +185,8 @@ def _grid_blocks(config: SweepConfig):
         kernel = absorption_g1_mesh
     elif config.quantity == "partial_e0n":
         n_prime = _fixed_value(config, "n_prime", required=True)
+        if isinstance(n_prime, float) and n_prime.is_integer():
+            n_prime = int(n_prime)  # --fix parses numbers: "2" and "2.0" are index 2
         kernel = partial(partial_e0_mesh, _usage(_checked_index, "n_prime", n_prime, "n_prime"))
     else:  # semiclassical_totals
         n_bar = float(_fixed_value(config, "n_bar", required=True))
@@ -231,11 +223,12 @@ def _overlap_compare_blocks(config: SweepConfig):
     drive = float(_fixed_value(config, "omega_l", required=True))
     phi = float(_fixed_value(config, "phi", required=False, default=0.0))
     params = _usage(ModelParams.from_ratios, "omega_a/omega_l/phi", coupling, drive, phi)
+    p_values = [_usage(_checked_int, "--p-values", p, "p") for p in config.p_values]
 
     points = []
     for sqrt_n in config.sqrt_n_axis.values():
         n = round(float(sqrt_n) ** 2)
-        for p in config.p_values:
+        for p in p_values:
             if n - p < 0 or n < 1:
                 raise _UsageError(
                     f"sqrt_n={float(sqrt_n):g} gives n={n}, too small for p={p}"
@@ -245,7 +238,7 @@ def _overlap_compare_blocks(config: SweepConfig):
                     f"|p| <= n/10 required for the asymptotic route; "
                     f"got p={p} at n={n}"
                 )
-            points.append((float(sqrt_n), n, int(p)))
+            points.append((float(sqrt_n), n, p))
 
     columns = ["sqrt_n", "p", "exact_sq", "bessel_sq"]
 
@@ -305,11 +298,15 @@ def _json_chunks(config: SweepConfig, columns, blocks):
     yield "\n ]\n}\n"
 
 
+_CONFIG_KEYS = ("quantity", "output", "format", "omega_a", "omega_l", "sqrt_n", "p_values", "fix")
+
+
 def _read_config_file(path: str) -> dict:
     """Plain declarative ``key = value`` lines; '#' starts a comment.
 
-    The ``fix`` key may repeat (``fix = name=value``); other repeated
-    keys keep the last value, mirroring flag override order.
+    Keys are the sweep flags (``_CONFIG_KEYS``); any other key is a usage
+    error.  The ``fix`` key may repeat (``fix = name=value``); other
+    repeated keys keep the last value, mirroring flag override order.
     """
     settings: dict = {}
     fixes: list[str] = []
@@ -326,6 +323,10 @@ def _read_config_file(path: str) -> dict:
                 key, value = line.split("=", 1)
                 key = key.strip().replace("-", "_")
                 value = value.strip()
+                if key not in _CONFIG_KEYS:
+                    raise _UsageError(
+                        f"{path}:{lineno}: unknown key {key!r}; allowed: {', '.join(_CONFIG_KEYS)}"
+                    )
                 if key == "fix":
                     fixes.append(value)
                 else:
@@ -373,11 +374,6 @@ def _cmd_sweep(args) -> int:
     if output is None:
         raise _UsageError("sweep needs an output path (--output or config file)")
     fmt = _resolve(args.format, file_settings, "format", "csv")
-    threads_raw = _resolve(args.threads, file_settings, "threads", 1)
-    try:
-        threads = int(threads_raw)
-    except (TypeError, ValueError):
-        raise _UsageError(f"threads must be an integer, got {threads_raw!r}") from None
 
     needs_grid = quantity != "overlap_compare"
     coupling_spec = _resolve(
@@ -401,7 +397,6 @@ def _cmd_sweep(args) -> int:
         quantity=str(quantity),
         output=str(output),
         fmt=str(fmt),
-        threads=threads,
         coupling_axis=AxisSpec.parse(coupling_spec) if coupling_spec else None,
         drive_axis=AxisSpec.parse(drive_spec) if drive_spec else None,
         sqrt_n_axis=AxisSpec.parse(sqrt_n_spec) if sqrt_n_spec else None,
@@ -498,9 +493,9 @@ def _cmd_semiclassical(args) -> int:
 def _cmd_cascade(args) -> int:
     if not (math.isfinite(args.bin_width) and args.bin_width > 0.0):
         raise _UsageError(f"--bin-width must be finite and > 0, got {args.bin_width!r}")
-    _usage(_checked_seed, "--seed", args.seed, "seed")
-    _usage(_checked_count, "--trajectories", args.trajectories, "trajectories", 0)
-    _usage(_checked_count, "--max-jumps", args.max_jumps, "max_jumps", 1)
+    _usage(_checked_int, "--seed", args.seed, "seed", 0, _MAX_SEED)
+    _usage(_checked_int, "--trajectories", args.trajectories, "trajectories", 0)
+    _usage(_checked_int, "--max-jumps", args.max_jumps, "max_jumps", 1)
     params = _params_from_args(args)
     start = _state_from_args(args, params)
     ensemble = sample_ensemble(
@@ -599,10 +594,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sweep.add_argument("--output", help="output file path")
     sweep.add_argument("--format", choices=("csv", "json"))
-    sweep.add_argument(
-        "--threads", type=int,
-        help="accepted and ignored: grid rows are evaluated in numpy blocks",
-    )
     sweep.set_defaults(handler=_cmd_sweep)
 
     rate = sub.add_parser("rate", help="rate table or single partial rate")

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .numerics import _checked_int
 from .overlaps import ModelParams
 
 __all__ = [
@@ -44,10 +45,7 @@ class DressedState:
     def __post_init__(self):
         if self.branch not in _BRANCH_SIGNS:
             raise ValueError(f"branch must be 'e' or 'g', got {self.branch!r}")
-        if isinstance(self.n, bool) or not isinstance(self.n, int):
-            raise ValueError(f"n must be an integer, got {self.n!r}")
-        if self.n < 0:
-            raise ValueError(f"n must be >= 0, got {self.n}")
+        object.__setattr__(self, "n", _checked_int(self.n, "n", 0))
 
     @property
     def sign(self) -> int:
@@ -124,8 +122,7 @@ def photon_frequency(state: DressedState, to_index: int, params: ModelParams) ->
     Computed as the dressed-energy difference, so energy bookkeeping is
     bit-exact against :func:`dressed_energy`.  Units follow ``params``.
     """
-    if isinstance(to_index, bool) or not isinstance(to_index, int):
-        raise ValueError(f"to_index must be an integer, got {to_index!r}")
+    to_index = _checked_int(to_index, "to_index")
     if to_index not in allowed_final_indices(state, params):
         raise ValueError(
             f"to_index={to_index} is not an allowed final index for "

@@ -189,10 +189,7 @@ _OVERLAP_ONE = OverlapValue(0.0, 0.0)
 
 
 def _checked_index(value, name: str) -> int:
-    value = _checked_int(value, name)
-    if not 0 <= value <= MAX_LADDER_INDEX:
-        raise ValueError(f"0 <= {name} <= {MAX_LADDER_INDEX} required, got {value}")
-    return value
+    return _checked_int(value, name, 0, MAX_LADDER_INDEX)
 
 
 def _checked_sign(value, name: str) -> int:
@@ -311,19 +308,15 @@ def overlap_exact(
     return OverlapValue(magnitude.log_abs, phase)
 
 
-def overlap_log_abs(
-    ell: int, n: int, params: ModelParams, bra_sign: int = +1
-) -> float:
+def overlap_log_abs(ell: int, n: int, params: ModelParams) -> float:
     """ln of the cross-ladder overlap magnitude.
 
     Stays finite (or -inf for a true zero) for indices up to 10^6, far
     beyond where factorial prefactors overflow a double.  The magnitude
-    does not depend on ``bra_sign``; the argument is accepted for
-    signature symmetry with :func:`overlap_exact`.
+    is the same whichever ladder the bra is on.
     """
     ell = _checked_index(ell, "ell")
     n = _checked_index(n, "n")
-    _checked_sign(bra_sign, "bra_sign")
     return _log_magnitude(ell, n, params.beta).log_abs
 
 
@@ -379,9 +372,7 @@ def displacement_matrix_oracle(alpha: complex, dim: int):
     ArithmeticError
         If the certified deficit exceeds 1e-8.
     """
-    dim = _checked_int(dim, "dim")
-    if not 1 <= dim <= 2000:
-        raise ValueError(f"1 <= dim <= 2000 required, got {dim}")
+    dim = _checked_int(dim, "dim", 1, 2000)
     alpha = complex(alpha)
     abs_sq = abs(alpha) ** 2
     if abs_sq > dim / 4.0:

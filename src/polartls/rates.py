@@ -83,14 +83,10 @@ class PhotonDistribution:
     def __post_init__(self):
         cleaned = {}
         for key, value in self.weights.items():
-            if isinstance(key, bool) or not isinstance(key, (int, np.integer)):
-                raise ValueError(f"indices must be integers, got {key!r}")
-            if int(key) < 0:
-                raise ValueError(f"indices must be >= 0, got {key}")
             value = float(value)
             if not (math.isfinite(value) and value >= 0.0):
                 raise ValueError(f"weights must be finite and >= 0, got {value!r}")
-            cleaned[int(key)] = value
+            cleaned[_checked_int(key, "index", 0)] = value
         total = math.fsum(cleaned.values())
         if abs(total - 1.0) > 1e-12:
             raise ValueError(f"weights must sum to 1 within 1e-12, got {total!r}")
@@ -186,22 +182,15 @@ def _candidate_final_indices(state: DressedState, params: ModelParams) -> range:
 def total_rate(from_state: DressedState, params: ModelParams) -> RateTable:
     """Total spontaneous rate out of a dressed state, with its channel table."""
     to_branch = "g" if from_state.branch == "e" else "e"
-    records = []
-    for n_prime in _candidate_final_indices(from_state, params):
-        freq = photon_frequency(from_state, n_prime, params) / params.omega0
-        log_abs = overlap_log_abs(n_prime, from_state.n, params)
-        if log_abs == float("-inf") or freq == 0.0:
-            rate = 0.0
-        else:
-            rate = math.exp(2.0 * log_abs) * freq**3
-        records.append(
-            TransitionRecord(
-                initial=from_state,
-                final=DressedState(to_branch, n_prime),
-                rate_over_gamma0=rate,
-                photon_freq=freq,
-            )
+    records = [
+        TransitionRecord(
+            initial=from_state,
+            final=DressedState(to_branch, n_prime),
+            rate_over_gamma0=partial_rate(from_state, n_prime, params),
+            photon_freq=photon_frequency(from_state, n_prime, params) / params.omega0,
         )
+        for n_prime in _candidate_final_indices(from_state, params)
+    ]
     total = math.fsum(r.rate_over_gamma0 for r in records)
     return RateTable(
         initial=from_state, transitions=tuple(records), total_over_gamma0=total
@@ -311,8 +300,6 @@ def weighted_total_rate(
     branch: str, dist: PhotonDistribution, params: ModelParams
 ) -> float:
     """Distribution-averaged total rate ``sum_n w_n Gamma_(branch,n)``."""
-    if branch not in ("e", "g"):
-        raise ValueError(f"branch must be 'e' or 'g', got {branch!r}")
     return math.fsum(
         weight * total_rate(DressedState(branch, n), params).total_over_gamma0
         for n, weight in sorted(dist.weights.items())

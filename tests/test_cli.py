@@ -106,18 +106,6 @@ class TestSweepCommand:
 
             assert value == absorption_rate_g1(ModelParams.from_ratios(coupling, drive))
 
-    def test_threads_do_not_change_output(self, tmp_path):
-        base = [
-            "sweep",
-            "--quantity", "suppression_e0",
-            "--omega-a", "0,3,7",
-            "--omega-l", "0.2,1.8,5",
-        ]
-        a, b = tmp_path / "t1.csv", tmp_path / "t8.csv"
-        assert main(base + ["--output", str(a), "--threads", "1"]) == 0
-        assert main(base + ["--output", str(b), "--threads", "8"]) == 0
-        assert a.read_text() == b.read_text()
-
     def test_partial_sweep_needs_n_prime(self, tmp_path, capsys):
         out = tmp_path / "p.csv"
         code = main(
@@ -173,6 +161,22 @@ class TestSweepCommand:
             exact_sq, bessel_sq = float(row[2]), float(row[3])
             assert exact_sq == pytest.approx(bessel_sq, rel=1e-3)
 
+    def test_overlap_compare_p_values_follow_the_integer_rule(self, tmp_path):
+        from polartls.cli import _UsageError
+
+        def sweep(p):
+            out = tmp_path / "cmp.csv"
+            run_sweep(SweepConfig(
+                quantity="overlap_compare", output=str(out), sqrt_n_axis=AxisSpec(100.0, 200.0, 2),
+                p_values=(p,), fixed={"omega_a": 0.001, "omega_l": 0.9},
+            ))
+            return out.read_text()
+
+        assert sweep(np.int64(1)) == sweep(1)
+        for bad in (True, 1.0, 1.5):
+            with pytest.raises(_UsageError):
+                sweep(bad)
+
     def test_semiclassical_sweep_two_columns(self, tmp_path):
         out = tmp_path / "semi.csv"
         code = main(
@@ -227,7 +231,6 @@ class TestSweepCommand:
             "omega-a = 0,2,3\n"
             "omega_l = 0.4,1.2,3\n"
             f"output = {out_file}\n"
-            "threads = 2\n"
         )
         assert main(["sweep", "--config", str(cfg)]) == 0
         assert out_file.exists()
@@ -246,6 +249,41 @@ class TestSweepCommand:
         )
         _, _, rows = read_csv(out2)
         assert len(rows) == 15
+
+    @pytest.mark.parametrize("key", ["omgea_a", "threads"])
+    def test_unknown_config_key_rejected(self, tmp_path, capsys, key):
+        cfg = tmp_path / "sweep.cfg"
+        out_file = tmp_path / "out.csv"
+        cfg.write_text(
+            "quantity = absorption_g1\n"
+            f"output = {out_file}\n"
+            f"{key} = 0,1,3\n"
+            "omega_l = 1.1,2,3\n"
+        )
+        assert main(["sweep", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert repr(key) in err and "omega_a" in err and "p_values" in err
+        assert not out_file.exists()
+
+    def test_n_prime_text_is_an_index(self, tmp_path):
+        base = ["sweep", "--quantity", "partial_e0n",
+                "--omega-a", "0,2,4", "--omega-l", "0.3,0.9,3"]
+        texts = []
+        for value in ("2", "2.0"):
+            out = tmp_path / f"p{value}.csv"
+            assert main(base + ["--fix", f"n_prime={value}", "--output", str(out)]) == 0
+            texts.append(out.read_text())
+        assert texts[0] == texts[1]
+        assert "# fixed n_prime=2.0\n" in texts[0]
+
+    @pytest.mark.parametrize("value", ["2.5", "inf", "nan", "-1", "1000001"])
+    def test_bad_n_prime_is_usage_error(self, tmp_path, capsys, value):
+        out = tmp_path / "p.csv"
+        argv = ["sweep", "--quantity", "partial_e0n", "--omega-a", "0,2,4",
+                "--omega-l", "0.3,0.9,3", "--fix", f"n_prime={value}", "--output", str(out)]
+        assert main(argv) == 2
+        assert "n_prime" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     def test_unknown_fixed_parameter_rejected(self, tmp_path, capsys):
         code = main(

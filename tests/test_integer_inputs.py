@@ -1,0 +1,102 @@
+"""One integer rule for every integer input, and the names the benchmark uses.
+
+Every integer input goes through ``numerics._checked_int``: a Python or
+numpy integer is accepted, a bool or a float (even an integral one) is a
+``ValueError``, and the range edges are exact.
+"""
+
+import importlib
+import types
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from polartls import cli
+from polartls.cascade import sample_ensemble, sample_trajectory
+from polartls.ladder import DressedState, photon_frequency
+from polartls.numerics import assoc_laguerre, assoc_laguerre_sequence, bessel_j
+from polartls.overlaps import (
+    ModelParams,
+    displacement_matrix_oracle,
+    overlap_bessel,
+    overlap_exact,
+    overlap_log_abs,
+)
+from polartls.rates import PhotonDistribution, partial_e0_mesh, partial_rate, semiclassical_partial
+
+P = ModelParams.from_ratios(0.5, 0.5)
+E2 = DressedState("e", 2)
+
+# Each call takes one integer argument, for which 3 is a valid value.
+SITES = {
+    "sample_ensemble.seed": lambda v: sample_ensemble(E2, P, seed=v, n_trajectories=4),
+    "sample_ensemble.n_trajectories": lambda v: sample_ensemble(E2, P, 1, n_trajectories=v),
+    "sample_ensemble.max_jumps": lambda v: sample_ensemble(E2, P, 1, 4, max_jumps=v),
+    "sample_trajectory.stream": lambda v: sample_trajectory(E2, P, 1, stream=v),
+    "DressedState.n": lambda v: DressedState("e", v),
+    "photon_frequency.to_index": lambda v: photon_frequency(E2, v, P),
+    "partial_rate.n_prime": lambda v: partial_rate(E2, v, P),
+    "assoc_laguerre.n": lambda v: assoc_laguerre(v, 1.5, 0.7),
+    "assoc_laguerre_sequence.n_max": lambda v: assoc_laguerre_sequence(v, 1.5, 0.7)[0].tolist(),
+    "bessel_j.p": lambda v: bessel_j(v, 2.5),
+    "overlap_exact.ell": lambda v: overlap_exact(v, 0, P),
+    "overlap_log_abs.n": lambda v: overlap_log_abs(0, v, P),
+    "overlap_bessel.n": lambda v: overlap_bessel(v, 0, P),
+    "overlap_bessel.p": lambda v: overlap_bessel(40, v, P),
+    "displacement_matrix_oracle.dim": lambda v: displacement_matrix_oracle(0.0, v)[0].tolist(),
+    "partial_e0_mesh.n_prime": lambda v: partial_e0_mesh(v, 0.5, 0.25).tolist(),
+    "semiclassical_partial.p": lambda v: semiclassical_partial("e", 100.0, v, P),
+    "PhotonDistribution.key": lambda v: PhotonDistribution({v: 1.0}).weights,
+    "AxisSpec.steps": lambda v: cli.AxisSpec(0.0, 1.0, v).values().tolist(),
+}
+# The largest valid value and the smallest invalid one above it.
+EDGES = {
+    "sample_ensemble.seed": (2**64 - 1, 2**64),
+    "sample_trajectory.stream": (2**64 - 1, 2**64),
+    "bessel_j.p": (10**6, 10**6 + 1),
+    "overlap_exact.ell": (10**6, 10**6 + 1),
+    "overlap_log_abs.n": (10**6, 10**6 + 1),
+    "partial_e0_mesh.n_prime": (10**6, 10**6 + 1),
+}
+
+
+@pytest.mark.parametrize("site", sorted(SITES))
+def test_integer_rule(site):
+    call = SITES[site]
+    error = cli._UsageError if site.startswith("AxisSpec") else ValueError
+    assert call(np.int64(3)) == call(3)
+    for bad in (True, 3.0):
+        with pytest.raises(error):
+            call(bad)
+    if site in EDGES:
+        last_ok, first_bad = EDGES[site]
+        call(last_ok)
+        with pytest.raises(error):
+            call(first_bad)
+
+
+def test_dressed_state_index_is_a_python_int():
+    state = DressedState("g", np.int64(7))
+    assert type(state.n) is int
+    assert state == DressedState("g", 7) and hash(state) == hash(DressedState("g", 7))
+
+
+def _load_bench(name):
+    """Run ``bench/<name>.py`` as a fresh module, read-only (no bytecode cache)."""
+    path = Path(__file__).resolve().parent.parent / "bench" / f"{name}.py"
+    module = types.ModuleType(f"bench_{name}")
+    module.__file__ = str(path)
+    exec(compile(path.read_text(encoding="utf-8"), str(path), "exec"), module.__dict__)
+    return module
+
+
+def test_benchmark_names_resolve():
+    # bench/inprocess.py wraps these names by getattr and bench/layers.py
+    # imports its functions from polartls; loading either runs no benchmark.
+    wrapped = _load_bench("inprocess").WRAPPED
+    for module_name, names in wrapped.items():
+        module = importlib.import_module(module_name)
+        for name in names:
+            assert callable(getattr(module, name, None)), f"{module_name}.{name}"
+    _load_bench("layers")

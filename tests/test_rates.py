@@ -104,6 +104,19 @@ class TestTotalRate:
             explicit, rel=1e-12
         )
 
+    @pytest.mark.parametrize(
+        "branch, n, coupling, drive",
+        [("e", 5, 0.5, 0.5), ("e", 40, 2.0, 1.6), ("g", 30, 1.0, 0.5), ("e", 200, 1.0, 0.5)],
+    )
+    def test_records_are_partial_rates(self, branch, n, coupling, drive):
+        # one channel-rate formula: each record is partial_rate, bit for bit
+        p = ModelParams.from_ratios(coupling, drive)
+        state = DressedState(branch, n)
+        table = total_rate(state, p)
+        assert table.transitions
+        for rec in table.transitions:
+            assert rec.rate_over_gamma0 == partial_rate(state, rec.final.n, p)
+
     def test_dark_ground_state(self):
         p = ModelParams.from_ratios(1.0, 0.5)
         table = total_rate(DressedState("g", 0), p)
