@@ -38,7 +38,7 @@ import numpy as np
 from .cascade import RNG_SCHEME, emission_spectrum, sample_ensemble, write_trajectory_log
 from .cascade import _MAX_SEED, _write_atomically
 from .ladder import DressedState, allowed_final_indices
-from .numerics import _checked_int
+from .numerics import MAX_BESSEL_ARG, _checked_int
 from .overlaps import MAX_LADDER_INDEX, ModelParams, _checked_index, overlap_bessel, overlap_exact
 from .rates import DEBYE, Gamma0Params, _rounded_index, gamma0_si, partial_rate, total_rate
 from .rates import absorption_g1_mesh, partial_e0_mesh, semiclassical_mesh, suppression_e0_mesh
@@ -164,6 +164,14 @@ def _usage(check, flag: str, *args):
         raise _UsageError(f"bad {flag}: {exc}") from None
 
 
+def _check_bessel_arg(x: float, what: str) -> None:
+    """Bessel J is evaluated up to MAX_BESSEL_ARG, since its cost grows like x."""
+    if not x <= MAX_BESSEL_ARG:
+        raise _UsageError(
+            f"the Bessel argument {what} = {x:g} is past the limit {MAX_BESSEL_ARG:g}"
+        )
+
+
 def _grid_blocks(config: SweepConfig):
     """Columns, row count and a generator of blocks of formatted cells (whole
     drive rows, evaluated by a mesh kernel) for the coupling x drive grid."""
@@ -190,7 +198,9 @@ def _grid_blocks(config: SweepConfig):
         kernel = partial(partial_e0_mesh, _usage(_checked_index, "n_prime", n_prime, "n_prime"))
     else:  # semiclassical_totals
         n_bar = float(_fixed_value(config, "n_bar", required=True))
-        _usage(_rounded_index, "n_bar", n_bar, 1)
+        n_round = _usage(_rounded_index, "n_bar", n_bar, 1)
+        c_max, d_min = config.coupling_axis.values().max(), config.drive_axis.values().min()
+        _check_bessel_arg(c_max * math.sqrt(n_round) / d_min, "omega_a sqrt(n_bar) / omega_l")
         kernel = partial(semiclassical_mesh, n_bar)
         values = ["gamma_e", "gamma_g"]
     columns = ["omega_L_over_omega0", "Omega_a_over_omega0", *values]
@@ -238,6 +248,7 @@ def _overlap_compare_blocks(config: SweepConfig):
                     f"|p| <= n/10 required for the asymptotic route; "
                     f"got p={p} at n={n}"
                 )
+            _check_bessel_arg(coupling * math.sqrt(n) / drive, "omega_a sqrt(n) / omega_l")
             points.append((float(sqrt_n), n, p))
 
     columns = ["sqrt_n", "p", "exact_sq", "bessel_sq"]
@@ -466,6 +477,10 @@ def _cmd_overlap(args) -> int:
     if args.method == "bessel":
         if args.same:
             raise _UsageError("the asymptotic route only handles opposite ladders")
+        _check_bessel_arg(
+            params.coupling_abs * math.sqrt(args.ell) / params.omega_drive,
+            "omega_a sqrt(ell) / omega_l",
+        )
         # overlap_bessel checks n >= 1 and |p| <= n/10 before it computes.
         value = _usage(
             overlap_bessel, "--ell/--n", args.ell, args.ell - args.n, params, bra_sign
@@ -483,7 +498,11 @@ def _cmd_overlap(args) -> int:
 
 def _cmd_semiclassical(args) -> int:
     params = _params_from_args(args)
-    _usage(_rounded_index, "--n-bar", args.n_bar, 1)
+    n_round = _usage(_rounded_index, "--n-bar", args.n_bar, 1)
+    _check_bessel_arg(
+        params.coupling_ratio * math.sqrt(n_round) / params.drive_ratio,
+        "omega_a sqrt(n_bar) / omega_l",
+    )
     totals = semiclassical_totals(args.n_bar, params)
     print(f"gamma_e = {totals.gamma_e:.12g}  (gamma0 units)")
     print(f"gamma_g = {totals.gamma_g:.12g}  (gamma0 units)")

@@ -94,7 +94,13 @@ def dressed_energy(
 def _snapped(limit):
     """``limit`` moved onto the nearest integer when within ``_BOUNDARY_SNAP``
     of it (relative, floor 1); elementwise on arrays, a float for scalars."""
-    nearest = np.rint(limit)  # half to even, as round() does
+    if isinstance(limit, float):  # the same arithmetic without numpy's per-call cost
+        if not math.isfinite(limit):
+            return limit
+        nearest = math.copysign(round(limit), limit)  # half to even and signed, as np.rint
+        near = abs(limit - nearest) <= _BOUNDARY_SNAP * max(1.0, abs(limit))
+        return nearest if near else limit
+    nearest = np.rint(limit)
     near = np.abs(limit - nearest) <= _BOUNDARY_SNAP * np.maximum(1.0, np.abs(limit))
     snapped = np.where(near, nearest, limit)
     return snapped if snapped.ndim else float(snapped)

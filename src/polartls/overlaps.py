@@ -30,12 +30,13 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 from .numerics import (
+    MAX_LADDER_INDEX,
     SIGNED_LOG_ZERO,
     SignedLog,
     _checked_int,
+    _ln_factorial,
     _signed_log_sum_arrays,
     assoc_laguerre,
     assoc_laguerre_sequence,
@@ -53,7 +54,6 @@ __all__ = [
 ]
 
 _NEG_INF = float("-inf")
-MAX_LADDER_INDEX = 10**6
 
 # Above this index the alternating series is summed in log space; below,
 # compensated summation of the exponentiated terms is cheaper and tighter.
@@ -202,9 +202,9 @@ def _series_log_terms(ell: int, n: int, beta: float):
     k = np.arange(min(ell, n) + 1)
     log_terms = (
         (ell + n - 2 * k) * math.log(beta)
-        - gammaln(k + 1)
-        - gammaln(ell - k + 1)
-        - gammaln(n - k + 1)
+        - _ln_factorial(k)
+        - _ln_factorial(ell - k)
+        - _ln_factorial(n - k)
     )
     signs = np.where(k % 2 == 0, 1, -1).astype(np.int8)
     return log_terms, signs
@@ -386,7 +386,7 @@ def displacement_matrix_oracle(alpha: complex, dim: int):
     matrix = np.zeros((dim, dim), dtype=complex)
     log_alpha_abs = math.log(abs(alpha))
     unit = alpha / abs(alpha)
-    lg = gammaln(np.arange(1, dim + 1))  # lg[k] = ln k!
+    lg = _ln_factorial(np.arange(dim))
 
     with warnings.catch_warnings():
         # Near-root Laguerre entries trigger relative-precision warnings;

@@ -17,11 +17,11 @@ from dataclasses import dataclass
 from typing import Mapping, NamedTuple
 
 import numpy as np
-from scipy.special import gammaln
 
 from .ladder import DressedState, TransitionRecord, _snapped
 from .ladder import allowed_final_indices, photon_frequency
-from .numerics import _bessel_j_orders, _checked_int, bessel_j, bessel_truncation_order
+from .numerics import MAX_BESSEL_ARG, _bessel_j_orders, _checked_int, _ln_factorial
+from .numerics import bessel_j, bessel_truncation_order
 from .overlaps import ModelParams, _checked_index, overlap_log_abs
 
 __all__ = [
@@ -247,7 +247,7 @@ def suppression_e0_mesh(coupling_ratio, drive_ratio) -> np.ndarray:
 
         def terms(n, i):
             factor = np.maximum(0.0, 1.0 - n * d[i])
-            return np.exp(-lam[i] + n * log_beta2[i] - gammaln(n + 1)) * factor**3
+            return np.exp(-lam[i] + n * log_beta2[i] - _ln_factorial(n.astype(np.int64))) * factor**3
 
         total = _ordered_sum(terms, np.zeros_like(c), n_hi)
     return np.where(beta == 0.0, 1.0, total).reshape(shape)
@@ -347,21 +347,26 @@ def semiclassical_partial(
     return bessel_j(p, x) ** 2 * factor**3
 
 
-def semiclassical_mesh(n_bar: float, coupling_ratio, drive_ratio):
-    """:func:`semiclassical_totals` over broadcast ratio arrays: ``(gamma_e, gamma_g)``."""
-    n_round = _rounded_index(n_bar, minimum=1)
-    c, d, shape = _cells(coupling_ratio, drive_ratio)
-    x = c * math.sqrt(n_round) / d
+_BESSEL_TABLE_ENTRIES = 1 << 20  # J values semiclassical_mesh tabulates at once
+
+
+def _semiclassical_gamma_g(x, d, p_min, p_hi) -> np.ndarray:
+    """gamma_g of cells with Bessel arguments ``x`` and drive ratios ``d``,
+    summed over channels ``p_min .. p_hi`` and then tail blocks of 32."""
+    # One recurrence per cell gives every J through the first tail block.
+    height = int(p_hi.max(initial=0)) + 33
+    table = _bessel_j_orders(np.arange(height)[:, None], x)
 
     def terms(p, i):
-        return _bessel_j_orders(p, x[i]) ** 2 * np.maximum(0.0, p * d[i] - 1.0) ** 3
+        k = p.astype(np.int64)
+        j = table[k, i] if k.max(initial=0) < height else _bessel_j_orders(k, x[i])
+        return j**2 * np.maximum(0.0, p * d[i] - 1.0) ** 3
 
-    p_min = np.ceil(_snapped(1.0 / d))
-    p_hi = np.maximum(bessel_truncation_order(x), p_min + 8)
     gamma_g = _ordered_sum(terms, p_min, p_hi)
     # The truncation order already sits past the Bessel turning point;
     # extend in blocks until the remainder is provably negligible.  J_p(0)
     # vanishes for every channel p >= 1, so uncoupled cells are done.
+    p_hi = p_hi.copy()
     todo = np.flatnonzero(x > 0.0)
     for _ in range(1000):
         if todo.size == 0:
@@ -372,6 +377,26 @@ def semiclassical_mesh(n_bar: float, coupling_ratio, drive_ratio):
         todo = todo[~(tail <= 1e-14 * np.maximum(gamma_g[todo], 1.0))]
     for _ in range(todo.size):
         warnings.warn("semiclassical tail did not converge; result truncated")
+    return gamma_g
+
+
+def semiclassical_mesh(n_bar: float, coupling_ratio, drive_ratio):
+    """:func:`semiclassical_totals` over broadcast ratio arrays: ``(gamma_e, gamma_g)``."""
+    n_round = _rounded_index(n_bar, minimum=1)
+    c, d, shape = _cells(coupling_ratio, drive_ratio)
+    x = c * math.sqrt(n_round) / d
+    if np.any(x > MAX_BESSEL_ARG):  # before any table is sized from x
+        raise ValueError(
+            f"x = Omega_a sqrt([n_bar]) / omega_L must be <= {MAX_BESSEL_ARG:g} "
+            f"(MAX_BESSEL_ARG), got {float(x.max())!r}"
+        )
+    p_min = np.ceil(_snapped(1.0 / d))
+    p_hi = np.maximum(bessel_truncation_order(x), p_min + 8)
+    gamma_g = np.empty(c.size)
+    step = max(1, _BESSEL_TABLE_ENTRIES // (int(p_hi.max(initial=0)) + 33))
+    for lo in range(0, c.size, step):
+        cells = slice(lo, lo + step)
+        gamma_g[cells] = _semiclassical_gamma_g(x[cells], d[cells], p_min[cells], p_hi[cells])
     gamma_e = 1.0 + 1.5 * c**2 * n_round + gamma_g
     return gamma_e.reshape(shape), gamma_g.reshape(shape)
 

@@ -699,3 +699,32 @@ class TestExitCodes:
         assert proc.returncode == 0
         assert out.exists()
         assert "wrote 4 rows" in proc.stdout
+
+
+class TestBesselArgumentLimit:
+    """Bessel J costs O(x) steps, so arguments past MAX_BESSEL_ARG exit 2 up front."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["overlap", "--ell", "1000000", "--n", "999999", "--method", "bessel",
+             "--omega-a", "20", "--omega-l", "1"],
+            ["semiclassical", "--n-bar", "1e8", "--omega-a", "1.5", "--omega-l", "1"],
+            ["sweep", "--quantity", "semiclassical_totals", "--fix", "n_bar=1e8",
+             "--omega-a", "0,1.5,3", "--omega-l", "1,2,2"],
+            ["sweep", "--quantity", "overlap_compare", "--sqrt-n", "100,1000,3",
+             "--fix", "omega_a=20", "--fix", "omega_l=1"],
+        ],
+    )
+    def test_past_the_limit_is_usage_error(self, tmp_path, capsys, argv):
+        out = tmp_path / "s.csv"
+        extra = ["--output", str(out)] if argv[0] == "sweep" else []
+        assert main([*argv, *extra]) == 2
+        assert "past the limit 10000" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_at_the_limit_runs(self, capsys):
+        # x = 10 sqrt(10^6) / 1 = 10^4 exactly
+        argv = ["overlap", "--ell", "1000000", "--n", "999999", "--method", "bessel"]
+        assert main([*argv, "--omega-a", "10", "--omega-l", "1"]) == 0
+        assert "|overlap|" in capsys.readouterr().out

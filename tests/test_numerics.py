@@ -9,10 +9,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from polartls import numerics
 from polartls.numerics import (
+    MAX_BESSEL_ARG,
+    MAX_LADDER_INDEX,
     PrecisionLossWarning,
     SIGNED_LOG_ZERO,
     SignedLog,
+    _bessel_j_orders,
+    _ln_factorial,
     _signed_log_sum_arrays,
     assoc_laguerre,
     assoc_laguerre_sequence,
@@ -215,3 +220,82 @@ class TestPrecisionLossWarning:
             warnings.simplefilter("ignore", PrecisionLossWarning)
             val = assoc_laguerre(500, 0.0, 3.0)
         assert math.isfinite(val.log_abs) or val.sign == 0
+
+
+class TestLnFactorial:
+    def test_matches_gammaln_bit_for_bit(self):
+        special = pytest.importorskip("scipy.special")
+        k = np.arange(9169)
+        assert np.array_equal(_ln_factorial(k), special.gammaln(k + 1.0))
+        # gathered in any order and shape from the same table
+        shuffled = np.random.default_rng(3).permutation(k).reshape(53, 173)
+        assert np.array_equal(_ln_factorial(shuffled), special.gammaln(shuffled + 1.0))
+
+    def test_within_two_ulp_of_mpmath(self):
+        rng = np.random.default_rng(20261018)
+        ks = np.unique(np.r_[0:40, 990:1010, rng.integers(40, 10**6, 200), 10**6])
+        got = _ln_factorial(ks)
+        with mp.workdps(40):
+            for k, value in zip(ks.tolist(), got.tolist()):
+                ref = float(mp.loggamma(k + 1))
+                assert abs(value - ref) <= 2 * math.ulp(ref), k
+
+    def test_past_the_table_cap(self):
+        k = np.array([3, MAX_LADDER_INDEX + 7])
+        got = _ln_factorial(k)
+        assert numerics._ln_factorials.size <= MAX_LADDER_INDEX + 1
+        assert got[0] == math.log(6.0)
+        with mp.workdps(40):
+            ref = float(mp.loggamma(MAX_LADDER_INDEX + 8))
+        assert abs(got[1] - ref) <= 2 * math.ulp(ref)
+
+
+def _envelope(x):
+    return math.sqrt(2.0 / (math.pi * x))
+
+
+class TestMillerBessel:
+    def test_against_mpmath(self):
+        # Relative to 1e-12 away from zeros: past the turning point p > x,
+        # where J_p(x) has none, or at 1e-2 of the envelope sqrt(2/(pi x)).
+        tiny_checked = 0
+        with mp.workdps(30):
+            for x in (1e-8, 3e-6, 1e-3, 0.1, 0.7, 1.0, 3.3, 10.0, 31.4, 100.0, 333.0, 1000.0):
+                top = bessel_truncation_order(x) + 8
+                ps = np.unique(np.linspace(0, top, 45).astype(np.int64))
+                got = _bessel_j_orders(ps, x)
+                for p, value in zip(ps.tolist(), got.tolist()):
+                    ref = float(mp.besselj(p, x))
+                    if p > x or abs(ref) >= 1e-2 * _envelope(x):
+                        assert abs(value - ref) <= 1e-12 * abs(ref), (p, x)
+                        tiny_checked += abs(ref) < 1e-100
+                    else:
+                        assert abs(value - ref) <= 1e-14 * _envelope(x), (p, x)
+        assert tiny_checked >= 20
+
+    def test_zero_argument(self):
+        assert bessel_j(0, 0.0) == 1.0
+        assert _bessel_j_orders(np.arange(-3, 60), 0.0).tolist() == [0.0] * 3 + [1.0] + [0.0] * 59
+
+    def test_values_do_not_depend_on_the_batch(self):
+        rng = np.random.default_rng(11)
+        xs = np.r_[0.0, 1e-12, 2.0**-30, 1e-8, 0.5, rng.uniform(0.0, 40.0, 25), 123.4, 999.9]
+        ps = rng.integers(-320, 320, xs.size)  # some past each argument's shared start
+        batch = _bessel_j_orders(ps, xs)
+        for p, x, value in zip(ps.tolist(), xs.tolist(), batch.tolist()):
+            assert value == _bessel_j_orders(p, x) == bessel_j(p, x), (p, x)
+        # tables: orders within every argument's shared run, and past some
+        for top, cells in ((100, xs[4:]), (260, xs)):
+            table = _bessel_j_orders(np.arange(-5, top)[:, None], cells[None, ::-1])
+            for column, x in zip(table.T, cells[::-1].tolist()):
+                assert column.tolist() == [bessel_j(p, x) for p in range(-5, top)], x
+
+    def test_argument_bound_and_column_cache(self):
+        assert math.isfinite(bessel_j(3, MAX_BESSEL_ARG))
+        with pytest.raises(ValueError):
+            bessel_j(3, math.nextafter(MAX_BESSEL_ARG, math.inf))
+        with pytest.raises(ValueError):
+            _bessel_j_orders([0, 1], [1.0, 2.0 * MAX_BESSEL_ARG])
+        # the per-argument columns hold a few MB at most
+        column_bytes = 8 * (numerics._miller_cover(MAX_BESSEL_ARG) + 1)
+        assert numerics._bessel_column.cache_info().maxsize * column_bytes <= 4e6
