@@ -3,10 +3,10 @@
 A two-level system whose drive couples to the same dipole operator as
 its static transition splits into two displaced oscillator ladders.
 This package computes the cross-ladder overlaps that control photon
-emission and absorption between those ladders, the resulting rates
-(exact, log-space-stabilized, and large-index asymptotic routes), and
-Monte-Carlo cascade statistics, all in dimensionless units plus one SI
-conversion helper.
+emission and absorption between those ladders (exact, from one Miller
+recurrence kernel per overlap column, or large-index asymptotic), the
+resulting rates, and Monte-Carlo cascade statistics, all in dimensionless
+units plus one SI conversion helper.
 """
 
 from .cascade import (

@@ -162,7 +162,8 @@ def _ln_factorial(k) -> np.ndarray:
 _BESSEL_SERIES_X = 2.0**-30
 _MILLER_BLOCK = 64  # orders past an argument's shared start share one per block
 _MILLER_ENTRIES = 1 << 21  # recurrence-table entries computed at once
-_MILLER_RESCALE = 2.0**500
+_RESCALE = 2.0**500  # recurrences scale their carries by this exact power of two
+_LN2 = math.log(2.0)
 
 
 def bessel_truncation_order(x):
@@ -215,11 +216,11 @@ def _miller_columns(x: np.ndarray, start: np.ndarray) -> np.ndarray:
         np.subtract((2.0 * k) / x[:live] * f[:live], f_up[:live], out=f_up[:live])
         f, f_up = f_up, f  # f holds J_{k-1}, f_up J_k
         if k % 8 == 0:
-            big = np.flatnonzero(np.abs(f[:live]) > _MILLER_RESCALE)
+            big = np.flatnonzero(np.abs(f[:live]) > _RESCALE)
             if big.size:
                 for values in (f, f_up, even):
-                    values[big] /= _MILLER_RESCALE
-                table[k:, big] /= _MILLER_RESCALE
+                    values[big] /= _RESCALE
+                table[k:, big] /= _RESCALE
     table /= table[0] + 2.0 * even
     return table
 
@@ -332,72 +333,64 @@ def bessel_j(p: int, x: float) -> float:
     return value
 
 
-def _laguerre_scan(n_max: int, a: float, x: float, keep_all: bool):
-    """Shared rescaled-float engine behind the Laguerre evaluations.
+def _recurrence(p, q, r, seed: float = 1.0):
+    """``(frac, exp)`` arrays of ``f_i = frac_i 2**exp_i``, i = 0 .. len(p), for
+    ``f_{i+1} = (p_i f_i - q_i f_{i-1}) / r_i`` from ``f_{-1} = 0``, ``f_0 = seed``.
 
-    Runs ``(k+1) L_{k+1} = (2k+1+a-x) L_k - (k+a) L_{k-1}`` with both
-    carries renormalized against a shared log offset, so degrees up to
-    10^6 never overflow.  Returns either the final ``(log_abs, sign)``
-    pair or, with ``keep_all``, arrays over every degree 0..n_max.
+    The carries are scaled by 2**-500 when the larger passes 2**500 and by
+    2**500 below 2**-500, exactly and counted in integer exponents, so no
+    run overflows and no rounding enters the scale.
     """
-    if keep_all:
-        logs = np.empty(n_max + 1)
-        signs = np.empty(n_max + 1, dtype=np.int8)
+    values, down, up = np.full(len(p) + 1, seed), [], []
+    prev, curr = 0.0, seed
+    for lo in range(0, len(p), 1 << 16):  # coefficients as floats a block at a time
+        block, part = [], slice(lo, lo + (1 << 16))
+        for a, b, c in zip(p[part].tolist(), q[part].tolist(), r[part].tolist()):
+            prev, curr = curr, (a * curr - b * prev) / c
+            mag = max(abs(prev), abs(curr))
+            if mag > _RESCALE:
+                prev, curr = prev / _RESCALE, curr / _RESCALE
+                down.append(lo + len(block) + 1)
+            elif 0.0 < mag < 1.0 / _RESCALE:
+                prev, curr = prev * _RESCALE, curr * _RESCALE
+                up.append(lo + len(block) + 1)
+            block.append(curr)
+        values[lo + 1 : lo + 1 + len(block)] = block
+    frac, exp = np.frexp(values)
+    exp += 500 * np.cumsum(np.bincount(down, minlength=exp.size) - np.bincount(up, minlength=exp.size))
+    return frac, exp
 
-    def record(k, value, offset):
-        if value == 0.0:
-            logs[k] = _NEG_INF
-            signs[k] = 0
-        else:
-            logs[k] = offset + math.log(abs(value))
-            signs[k] = 1 if value > 0.0 else -1
 
-    offset = 0.0
-    prev = 1.0  # L_0
-    if keep_all:
-        record(0, prev, offset)
-    if n_max == 0:
-        if keep_all:
-            return logs, signs
-        return (0.0, 1)
+def _laguerre_scan(n_max, a, x, name: str):
+    """``(ln|L_k|, sign L_k)`` arrays over k = 0 .. n_max of ``L_k = L_k^{(a)}(x)``.
 
-    curr = 1.0 + a - x  # L_1
-    if keep_all:
-        record(1, curr, offset)
-
-    worst_ratio = math.inf
-    for k in range(1, n_max):
-        t1 = (2.0 * k + 1.0 + a - x) * curr
-        t2 = (k + a) * prev
-        nxt = (t1 - t2) / (k + 1.0)
-        scale = max(abs(t1), abs(t2))
-        if scale > 0.0:
-            ratio = abs(nxt) * (k + 1.0) / scale
-            if ratio < worst_ratio:
-                worst_ratio = ratio
-        prev, curr = curr, nxt
-        mag = max(abs(prev), abs(curr))
-        if mag > 1e250 or (0.0 < mag < 1e-250):
-            shift = math.log(mag)
-            offset += shift
-            rescale = math.exp(-shift)
-            prev *= rescale
-            curr *= rescale
-        if keep_all:
-            record(k + 1, curr, offset)
-
-    if worst_ratio < 1e-12:
-        warnings.warn(
-            f"Laguerre recurrence passed through cancellation of "
-            f"{worst_ratio:.2e} relative magnitude (degree {n_max}, a={a}, x={x})",
-            PrecisionLossWarning,
-            stacklevel=3,
-        )
-    if keep_all:
-        return logs, signs
-    if curr == 0.0:
-        return (_NEG_INF, 0)
-    return (offset + math.log(abs(curr)), 1 if curr > 0.0 else -1)
+    Runs ``(k+1) L_{k+1} = (2k+1+a-x) L_k - (k+a) L_{k-1}`` through
+    :func:`_recurrence`, so degrees up to 10^6 never overflow.  Warns
+    PrecisionLossWarning when a step cancels to below 1e-12 of its larger
+    term.
+    """
+    n_max = _checked_int(n_max, name, 0, MAX_LAGUERRE_DEGREE)
+    a, x = float(a), float(x)
+    if x < 0.0:
+        raise ValueError(f"x >= 0 required, got {x!r}")
+    k = np.arange(n_max, dtype=float)
+    p, q = 2.0 * k + 1.0 + a - x, k + a
+    frac, exp = _recurrence(p, q, k + 1.0)
+    if n_max:
+        # each step's result against the larger of its two terms, at the result's scale
+        term = np.abs(p * frac[:-1]) * np.exp2(exp[:-1] - exp[1:])
+        term[1:] = np.maximum(term[1:], np.abs(q[1:] * frac[:-2]) * np.exp2(exp[:-2] - exp[2:]))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            worst = np.min(np.abs(frac[1:]) * (k + 1.0) / term, initial=math.inf, where=term > 0.0)
+        if worst < 1e-12:
+            warnings.warn(
+                f"Laguerre recurrence passed through cancellation of "
+                f"{worst:.2e} relative magnitude (degree {n_max}, a={a}, x={x})",
+                PrecisionLossWarning,
+                stacklevel=3,
+            )
+    with np.errstate(divide="ignore"):
+        return np.log(np.abs(frac)) + exp * _LN2, np.sign(frac).astype(np.int8)
 
 
 def assoc_laguerre(n: int, a: float, x: float) -> SignedLog:
@@ -407,14 +400,8 @@ def assoc_laguerre(n: int, a: float, x: float) -> SignedLog:
     overflow is impossible by representation.  At ``x = 0`` the value
     reduces to ``Gamma(n+a+1) / (n! Gamma(a+1))``.
     """
-    n = _checked_int(n, "n", 0, MAX_LAGUERRE_DEGREE)
-    x = float(x)
-    if x < 0.0:
-        raise ValueError(f"x >= 0 required, got {x!r}")
-    log_abs, sign = _laguerre_scan(n, float(a), x, keep_all=False)
-    if sign == 0:
-        return SIGNED_LOG_ZERO
-    return SignedLog(log_abs, sign)
+    logs, signs = _laguerre_scan(n, a, x, "n")
+    return SignedLog(float(logs[-1]), int(signs[-1])) if signs[-1] else SIGNED_LOG_ZERO
 
 
 def assoc_laguerre_sequence(n_max: int, a: float, x: float):
@@ -424,11 +411,7 @@ def assoc_laguerre_sequence(n_max: int, a: float, x: float):
     One pass per diagonal is what makes the displacement-matrix oracle
     O(dim^2) instead of O(dim^3).
     """
-    n_max = _checked_int(n_max, "n_max", 0, MAX_LAGUERRE_DEGREE)
-    x = float(x)
-    if x < 0.0:
-        raise ValueError(f"x >= 0 required, got {x!r}")
-    return _laguerre_scan(n_max, float(a), x, keep_all=True)
+    return _laguerre_scan(n_max, a, x, "n_max")
 
 
 def _signed_log_sum_arrays(log_abs: np.ndarray, signs: np.ndarray):

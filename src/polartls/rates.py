@@ -22,7 +22,7 @@ from .ladder import DressedState, TransitionRecord, _snapped
 from .ladder import allowed_final_indices, photon_frequency
 from .numerics import MAX_BESSEL_ARG, _bessel_j_orders, _checked_int, _ln_factorial
 from .numerics import bessel_j, bessel_truncation_order
-from .overlaps import ModelParams, _checked_index, overlap_log_abs
+from .overlaps import ModelParams, _checked_index, _overlap_column, _window_reach, overlap_log_abs
 
 __all__ = [
     "RateTable",
@@ -109,9 +109,7 @@ class PhotonDistribution:
         lo = max(0, math.floor(mean - spread))
         hi = math.ceil(mean + spread)
         ks = np.arange(lo, hi + 1)
-        log_pmf = ks * math.log(mean) - mean - np.array(
-            [math.lgamma(k + 1) for k in ks]
-        )
+        log_pmf = ks * math.log(mean) - mean - _ln_factorial(ks)
         log_pmf -= log_pmf.max()
         pmf = np.exp(log_pmf)
         keep = pmf >= cutoff
@@ -139,6 +137,13 @@ class SemiclassicalTotals(NamedTuple):
     gamma_g: float
 
 
+def _channel_rate(log_abs: float, freq: float) -> float:
+    """The rate of one channel: squared overlap times the cubed frequency."""
+    if log_abs == float("-inf") or freq == 0.0:
+        return 0.0
+    return math.exp(2.0 * log_abs) * freq**3
+
+
 def partial_rate(from_state: DressedState, n_prime: int, params: ModelParams) -> float:
     """Rate of ``from_state -> (opposite branch, n_prime)`` over gamma0.
 
@@ -147,28 +152,20 @@ def partial_rate(from_state: DressedState, n_prime: int, params: ModelParams) ->
     the allowed range.
     """
     freq = photon_frequency(from_state, n_prime, params) / params.omega0
-    log_abs = overlap_log_abs(n_prime, from_state.n, params)
-    if log_abs == float("-inf") or freq == 0.0:
-        return 0.0
-    return math.exp(2.0 * log_abs) * freq**3
+    return _channel_rate(overlap_log_abs(n_prime, from_state.n, params), freq)
 
 
 def _candidate_final_indices(state: DressedState, params: ModelParams) -> range:
     """Allowed final indices restricted to where overlaps have support.
 
-    The overlap of index ``n`` against ``n'`` dies superexponentially
-    once ``|n - n'|`` exceeds ``x = 2 beta sqrt(n)`` (below) or the
-    displaced-support width ``20 beta^2`` (above); the caps carry the
-    same safety margins as the completeness checks, so the dropped tail
-    is below 1e-12 of any total.
+    The caps are the support reach of the overlap column
+    (:func:`polartls.overlaps._window_reach`), inside the column's window;
+    the dropped tail is below 1e-12 of any total.
     """
     full = allowed_final_indices(state, params)
     if len(full) == 0:
         return full
-    beta = params.beta
-    x = 2.0 * beta * math.sqrt(state.n)
-    below = math.ceil(x + 40.0 * x ** (1.0 / 3.0) + 60.0)
-    above = math.ceil(20.0 * beta * beta + 60.0)
+    below, above = _window_reach(state.n, params.beta)
     lo = max(full.start, state.n - below)
     hi = min(full.stop - 1, state.n + above)
     if lo > hi:
@@ -180,21 +177,21 @@ def _candidate_final_indices(state: DressedState, params: ModelParams) -> range:
 
 
 def total_rate(from_state: DressedState, params: ModelParams) -> RateTable:
-    """Total spontaneous rate out of a dressed state, with its channel table."""
-    to_branch = "g" if from_state.branch == "e" else "e"
-    records = [
-        TransitionRecord(
-            initial=from_state,
-            final=DressedState(to_branch, n_prime),
-            rate_over_gamma0=partial_rate(from_state, n_prime, params),
-            photon_freq=photon_frequency(from_state, n_prime, params) / params.omega0,
-        )
-        for n_prime in _candidate_final_indices(from_state, params)
-    ]
+    """Total spontaneous rate out of a dressed state, with its channel table.
+
+    One overlap column of the decaying state serves every channel; each
+    record equals :func:`partial_rate` for its channel bit for bit.
+    """
+    final = "g" if from_state.branch == "e" else "e"
+    channels = _candidate_final_indices(from_state, params)
+    log_abs, _ = _overlap_column(channels, from_state.n, params.beta)
+    records = []
+    for n_prime, ln in zip(channels, log_abs.tolist()):
+        freq = photon_frequency(from_state, n_prime, params) / params.omega0
+        rate = _channel_rate(ln, freq)
+        records.append(TransitionRecord(from_state, DressedState(final, n_prime), rate, freq))
     total = math.fsum(r.rate_over_gamma0 for r in records)
-    return RateTable(
-        initial=from_state, transitions=tuple(records), total_over_gamma0=total
-    )
+    return RateTable(initial=from_state, transitions=tuple(records), total_over_gamma0=total)
 
 
 # The *_mesh kernels take coupling_abs/omega0 and omega_drive/omega0 arrays
@@ -287,7 +284,7 @@ def partial_e0_mesh(n_prime: int, coupling_ratio, drive_ratio) -> np.ndarray:
     n_prime = _checked_index(n_prime, "n_prime")
     c, d, shape = _cells(coupling_ratio, drive_ratio)
     beta = c / (2.0 * d)
-    log_fact = math.lgamma(n_prime + 1)
+    log_fact = float(_ln_factorial(n_prime))
     with np.errstate(divide="ignore"):
         series = n_prime * np.log(beta) if n_prime else np.zeros_like(beta)
     log_abs = -0.5 * beta * beta + 0.5 * log_fact + (series - log_fact)

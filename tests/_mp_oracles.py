@@ -5,6 +5,8 @@ arbitrary-precision arithmetic, so these references are slow but immune
 to the cancellation and overflow that the production code has to manage.
 """
 
+import math
+
 import mpmath as mp
 
 
@@ -53,3 +55,25 @@ def overlap_ln_abs_mp(ell: int, n: int, beta, dps: int = 50):
             + mp.log(abs(series))
         )
         return float(ln)
+
+
+def column_entry_mp(m: int, n: int, beta):
+    """Entry ``m`` of the overlap column of ket ``n``: the cross-ladder overlap
+    without its parity and phase factors, as an mpf with 20 correct digits.
+
+    Uses the Laguerre form ``(-1)^lo e^{-beta^2/2} sqrt(lo!/hi!)
+    beta^{hi-lo} L_lo^{(hi-lo)}(beta^2)`` with ``lo, hi = min, max(m, n)``.
+    mpmath raises its working precision until the Laguerre sum holds 20
+    digits; the sum cancels down from terms about ``e^{2 beta sqrt(hi)}``
+    times larger, so the precision cap (and the level at which a sum
+    counts as an exact zero) is sized to that, about 6 beta sqrt(hi) bits.
+    """
+    lo, hi = min(m, n), max(m, n)
+    bits = int(6 * float(beta) * math.sqrt(hi)) + 400
+    with mp.workdps(20):
+        b = mp.mpf(beta)
+        lag = mp.laguerre(lo, hi - lo, b * b, zeroprec=bits, maxprec=bits + 200, maxterms=4 * 10**6)
+        if lag == 0:
+            return mp.mpf(0)
+        log_prefactor = -b * b / 2 + (mp.loggamma(lo + 1) - mp.loggamma(hi + 1)) / 2 + (hi - lo) * mp.log(b)
+        return (-1) ** lo * mp.exp(log_prefactor) * lag

@@ -242,10 +242,10 @@ class TestRandomStream:
         p = ModelParams.from_ratios(1.0, 0.45)
         ens = sample_ensemble(DressedState("e", 6), p, seed=2718, n_trajectories=4)
         assert [t.jumps[0][0] for t in ens] == [
-            0.013829541545490263,
-            0.24007577414117034,
-            0.04433641986177986,
-            0.010345365546626602,
+            0.013829541545490268,
+            0.2400757741411704,
+            0.04433641986177987,
+            0.010345365546626606,
         ]
         assert [t.jumps[0][1].final.n for t in ens] == [1, 1, 3, 2]
         assert [t.jumps[-1][1].final for t in ens] == [
@@ -257,7 +257,7 @@ class TestRandomStream:
         # The first uniform of stream 63 is one where AVX-512 np.log and
         # the C library's log differ in the last bit; the stream uses libm.
         t = sample_trajectory(DressedState("e", 6), p, seed=2718, stream=63)
-        assert t.jumps[0][0] == 0.0057528919585224415
+        assert t.jumps[0][0] == 0.005752891958522443
 
     def test_trajectory_depends_only_on_seed_and_stream(self):
         p = ModelParams.from_ratios(1.0, 0.45)

@@ -4,11 +4,14 @@ import cmath
 import math
 import warnings
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from polartls import overlaps, rates
+from polartls.ladder import DressedState
 from polartls.numerics import PrecisionLossWarning, bessel_j
 from polartls.overlaps import (
     ModelParams,
@@ -18,8 +21,9 @@ from polartls.overlaps import (
     overlap_exact,
     overlap_log_abs,
 )
+from polartls.rates import partial_rate, total_rate
 
-from _mp_oracles import overlap_complex_mp, overlap_ln_abs_mp
+from _mp_oracles import column_entry_mp, overlap_complex_mp, overlap_ln_abs_mp
 
 
 def params_for_beta(beta: float, drive: float = 0.5, phi: float = 0.0) -> ModelParams:
@@ -271,3 +275,126 @@ class TestRouteConsistency:
             below = overlap_log_abs(150, 148, p)
             ref = overlap_ln_abs_mp(150, 148, p.beta, dps=50)
         assert below == pytest.approx(ref, rel=1e-9)
+
+
+def column_values(n, beta):
+    """(lo, g) of the overlap column of ket n over its window, as doubles."""
+    lo, frac, exp = overlaps._core_column(n, beta)
+    return lo, np.ldexp(frac, exp)
+
+
+class TestOverlapColumn:
+    """The one column kernel behind every exact overlap and rate."""
+
+    @pytest.mark.parametrize("n", [0, 1, 5, 40, 250, 3000, 10**5, 10**6])
+    @pytest.mark.parametrize("beta", [0.0056, 0.05, 0.5, 1.0, 2.0, 8.0, 30.0])
+    def test_against_extended_precision(self, n, beta):
+        lo, g = column_values(n, beta)
+        peak = int(np.argmax(np.abs(g)))
+        # The reference costs O(n) terms at a precision growing with
+        # beta sqrt(n), several seconds an entry at n = 10**6, beta = 30; the
+        # heaviest columns are checked on their diagonal entry only.
+        if beta * math.sqrt(n) < 300:
+            picks = {0, g.size - 1, peak, *np.linspace(0, g.size - 1, 12).astype(int).tolist()}
+        else:
+            picks = {n - lo}
+        for i in sorted(picks):
+            exact = column_entry_mp(lo + i, n, beta)
+            if i in (0, g.size - 1):
+                # the window's edges, where a leg's start error would show,
+                # are compared in log space: they are far below double range
+                log_abs, _ = overlaps._overlap_column([lo + i], n, beta)
+                want = float(mp.log(abs(exact)))
+                assert abs(log_abs[0] - want) <= 1e-13 * max(1.0, abs(want)), (lo + i, want)
+            ref = float(exact)
+            if abs(ref) >= 1e-3 * abs(g[peak]):
+                assert abs(g[i] - ref) <= 1e-12 * abs(ref), (lo + i, g[i], ref)
+            else:
+                larger = max(abs(g[max(i - 1, 0)]), abs(g[min(i + 1, g.size - 1)]))
+                assert abs(g[i] - ref) <= 1e-13 * larger, (lo + i, g[i], ref)
+
+    @given(
+        n=st.integers(min_value=0, max_value=10**5),
+        beta=st.floats(min_value=1e-3, max_value=30.0),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_exact_moments(self, n, beta):
+        # D(beta) shifts the number operator: <m> = n + beta^2 and
+        # Var(m) = beta^2 (2n + 1) in the displaced number state
+        lo, g = column_values(n, beta)
+        m = np.arange(lo, lo + g.size)
+        weights = g * g
+        mean = n + beta * beta
+        assert math.fsum(m * weights) == pytest.approx(mean, rel=1e-13)
+        variance = math.fsum((m - mean) ** 2 * weights)
+        assert variance == pytest.approx(beta * beta * (2 * n + 1), rel=1e-13)
+
+    def test_uncoupled_is_the_kronecker_delta(self):
+        p = ModelParams.from_ratios(0.0, 0.5)
+        for ell, n in [(0, 0), (7, 7), (10**6, 10**6)]:
+            v = overlap_exact(ell, n, p)
+            assert v.log_abs == 0.0 and v.phase == 0.0
+        for ell, n in [(0, 1), (5, 3), (0, 10**6)]:
+            assert overlap_exact(ell, n, p).is_zero
+            assert overlap_log_abs(ell, n, p) == -math.inf
+
+    @pytest.mark.parametrize("beta", [1e-8, 1e-200, 1e-300])
+    def test_tiny_beta_is_the_leading_term(self, beta):
+        p = params_for_beta(beta)
+        for ell, n in [(0, 0), (3, 5), (5, 3), (40, 41), (90, 100), (0, 100), (10**6, 10**6 - 2)]:
+            lo, hi = min(ell, n), max(ell, n)
+            if beta * beta * (lo + 1) > 1e-15:
+                continue  # the next series term moves the value by ~beta^2 lo
+            got = overlap_exact(ell, n, p)
+            lead = (hi - lo) * math.log(beta) + 0.5 * (math.lgamma(hi + 1) - math.lgamma(lo + 1))
+            lead -= math.lgamma(hi - lo + 1)
+            assert math.isfinite(got.log_abs)
+            # ... up to the rounding of a log as large as |lead|
+            assert abs(math.expm1(got.log_abs - lead)) <= 1e-13 + 4 * math.ulp(lead)
+            # the series sign (-1)^lo times the parity (-1)^n of a plus-ladder bra
+            assert math.cos(got.phase) == (-1) ** (lo + n)
+
+    @pytest.mark.parametrize("beta", [0.5, 2.0])
+    def test_far_off_window_entries(self, beta):
+        # the first row and column have one series term:
+        # |<0|n>| = |<n|0>| = e^{-beta^2/2} beta^n / sqrt(n!)
+        p = params_for_beta(beta)
+        n = 10**6
+        want = float(-mp.mpf(beta) ** 2 / 2 + n * mp.log(beta) - mp.loggamma(n + 1) / 2)
+        for ell, ket in [(0, n), (n, 0)]:
+            got = overlap_log_abs(ell, ket, p)
+            assert abs(got - want) <= 4 * math.ulp(want)
+
+    def test_value_does_not_depend_on_the_request(self):
+        # a far-detuned lower level: every listed channel lies below the
+        # column's window, so each one gets a column of its own
+        p = ModelParams.from_ratios(0.002, 0.005)
+        state = DressedState("g", 300)
+        lo, _ = column_values(300, p.beta)
+        table = total_rate(state, p)
+        finals = [t.final.n for t in table.transitions]
+        assert finals and max(finals) < lo
+        logs, _ = overlaps._overlap_column(finals + [lo, lo + 1], 300, p.beta)
+        for rec, log_abs in zip(table.transitions, logs.tolist()):
+            alone = overlap_log_abs(rec.final.n, 300, p)
+            assert alone == log_abs
+            assert rec.rate_over_gamma0 == partial_rate(state, rec.final.n, p)
+
+    def test_oversized_column_is_refused(self):
+        # at beta = 1e4 the window alone spans 20 beta^2 = 2e9 entries
+        with pytest.raises(ValueError, match="past the limit"):
+            overlap_log_abs(0, 0, params_for_beta(1e4))
+
+    def test_total_rate_builds_one_column(self, monkeypatch):
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return overlaps._overlap_column(*args)
+
+        monkeypatch.setattr(rates, "_overlap_column", counting)
+        overlaps._core_column.cache_clear()
+        table = total_rate(DressedState("e", 250), ModelParams.from_ratios(1.0, 0.5))
+        assert len(table.transitions) > 200
+        assert len(calls) == 1
+        assert overlaps._core_column.cache_info().misses == 1
