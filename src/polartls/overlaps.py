@@ -199,22 +199,18 @@ def _window_reach(n: int, beta: float) -> tuple[int, int]:
 
 
 def _leg_start(edge: int, step: int, n: int, beta: float) -> int:
-    """Where a leg starts (``step`` -1: below ``edge``, +1: above) to be exact at ``edge``.
+    """Where a leg starts (``step`` -1: below ``edge``, +1: above) to be exact at
+    ``edge``, which must lie outside the oscillatory band.
 
-    Outside the oscillatory band the recurrence's characteristic roots are
-    real, r+ > r-; adding ``ln(r+/r-)`` outward from the edge up to 42 leaves
-    the unwanted solution at e^-42 of the column by the edge.  A leg below
-    that reaches m = 0 starts there, where it is exact."""
-    total, m = 0.0, edge
-    while True:
-        ms = m + step * np.arange(256)
-        ms = ms[ms >= 1]
-        c = np.abs((ms - n) + beta * beta) / (2.0 * beta * np.sqrt(np.sqrt(ms * (ms + 1.0))))
-        sums = total + np.cumsum(2.0 * np.arccosh(np.maximum(c, 1.0)))
-        if sums.size < 256 or sums[-1] >= 42.0:
-            past = np.flatnonzero(sums >= 42.0)
-            return max(0, int(ms[past[0]]) + step) if past.size else 0
-        total, m = float(sums[-1]), m + 256 * step
+    There the recurrence's characteristic roots are real, r+ > r-, and
+    ``ln(r+/r-)`` only grows away from the band, so 42 / ln(r+/r-) at the
+    edge steps leave the unwanted solution at most e^-42 of the column by
+    the edge.  A leg below that reaches m = 0 starts there, where it is exact.
+    """
+    if edge == 0:
+        return 0
+    c = abs((edge - n) + beta * beta) / (2.0 * beta * math.sqrt(math.sqrt(edge * (edge + 1.0))))
+    return max(0, edge + step * (math.ceil(21.0 / math.acosh(c)) + 1))
 
 
 def _column(n: int, beta: float, lo: int, hi: int):
@@ -259,11 +255,13 @@ def _column(n: int, beta: float, lo: int, hi: int):
 
 @functools.lru_cache(maxsize=256)
 def _core_column(n: int, beta: float):
-    """``(lo, frac, exp)``: :func:`_column` over the window ``[max(0, n - below),
-    n + max(below, above)]`` (:func:`_window_reach`), read-only; 256 are kept."""
+    """``(lo, frac, exp)``: :func:`_column` over the window from ``max(0, n - below)``
+    to ``n + max(below, above)`` (:func:`_window_reach`), or to 60 past the
+    band's top if that is higher; read-only, and 256 are kept."""
     below, above = _window_reach(n, beta)
+    hi = max(n + max(below, above), math.ceil((math.sqrt(n) + beta) ** 2) + 60)
     lo = max(0, n - below)
-    frac, exp = _column(n, beta, lo, n + max(below, above))
+    frac, exp = _column(n, beta, lo, hi)
     frac.flags.writeable = exp.flags.writeable = False  # shared by every caller
     return lo, frac, exp
 
