@@ -53,8 +53,11 @@ _NEG_INF = float("-inf")
 _TINY_BETA = 2.0**-40
 # The two legs of a column overlap on at most 2 _JOIN + 1 entries, matched by least squares.
 _JOIN = 8
-# Longest column computed (about 0.6 s and 180 MB at n = 0); beta past about 320 needs more.
+# Longest column computed (0.6 s, 180 MB); beta past about 1400 at n = 0, 460 at n = 1e6.
 _MAX_COLUMN = 1 << 21
+# The pair API reads the same short columns again and again (criteria 1-3 build each
+# one 40-200 times); 256 columns of fewer entries than this are kept, 16 MB at most.
+_CACHED_COLUMN = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -191,9 +194,9 @@ def _checked_sign(value, name: str) -> int:
 
 
 def _window_reach(n: int, beta: float) -> tuple[int, int]:
-    """How far below and above ``n`` the column of ket ``n`` has support: it dies
-    superexponentially past ``x = 2 beta sqrt(n)`` below and the displaced-support
-    width ``20 beta^2`` above, and both reaches carry the completeness checks' margins."""
+    """How far below and above ``n`` rate tables list channels: past
+    ``x = 2 beta sqrt(n)`` below and the displaced-support width ``20 beta^2``
+    above, each with the completeness checks' margins."""
     x = 2.0 * beta * math.sqrt(n)
     return math.ceil(x + 40.0 * x ** (1.0 / 3.0) + 60.0), math.ceil(20.0 * beta * beta + 60.0)
 
@@ -253,40 +256,38 @@ def _column(n: int, beta: float, lo: int, hi: int):
     return frac[lo - first : hi - first + 1], (exp + scale)[lo - first : hi - first + 1]
 
 
-@functools.lru_cache(maxsize=256)
-def _core_column(n: int, beta: float):
-    """``(lo, frac, exp)``: :func:`_column` over the window from ``max(0, n - below)``
-    to ``n + max(below, above)`` (:func:`_window_reach`), or to 60 past the
-    band's top if that is higher; read-only, and 256 are kept."""
-    below, above = _window_reach(n, beta)
-    hi = max(n + max(below, above), math.ceil((math.sqrt(n) + beta) ** 2) + 60)
-    lo = max(0, n - below)
-    frac, exp = _column(n, beta, lo, hi)
-    frac.flags.writeable = exp.flags.writeable = False  # shared by every caller
-    return lo, frac, exp
+_cached_column = functools.lru_cache(maxsize=256)(_column)
+
+
+def _core_window(n: int, beta: float) -> tuple[int, int]:
+    """``(lo, hi)``: where the column of ket ``n`` has support, ``x + 40 x^{1/3} + 60``
+    below ``n`` (:func:`_window_reach`, ``x = 2 beta sqrt(n)``) and that plus
+    ``beta^2 + 40 beta`` above, at least ``40 x^{1/3} + 60`` past either
+    turning point ``(sqrt n -+ beta)^2``."""
+    below, _ = _window_reach(n, beta)
+    return max(0, n - below), n + below + math.ceil(beta * beta + 40.0 * beta)
 
 
 def _overlap_column(ells, n: int, beta: float):
-    """``(ln|g|, sign g)`` arrays at the indices ``ells`` of the column of ket ``n``:
-    the one kernel behind every exact overlap and rate.
+    """``(ln|g|, sign g)`` at the indices ``ells`` of the column of ket ``n``: the
+    one kernel behind every exact overlap and rate.
 
     ``g[m] = e^{-beta^2/2} sqrt(m! n!) sum_k (-1)^k beta^{m+n-2k} / (k! (m-k)! (n-k)!)``
-    is the cross-ladder overlap without its parity and phase factors,
-    symmetric in m and n.  A value depends on (ell, n, beta) only, never on
-    the other indices asked for.
+    is the overlap without its parity and phase factors.  A value depends on
+    (ell, n, beta) only; swapped indices read different columns, so they
+    agree to rounding only.
 
     *Accuracy.*  For n up to 10**6 and beta from 1e-3 to 30, within 1e-12
-    (typically 1e-13) relative of extended precision where ``|g|`` is at
-    least 1e-3 of its column's maximum, and within 1e-13 of the larger
-    neighbour elsewhere.  Below ``beta = 2**-40`` a value is its leading
-    series term ``(-1)^min(m,n) beta^|m-n| sqrt(max!/min!) / |m-n|!``, off
-    by less than ``beta^2 (MAX_LADDER_INDEX + 2) < 1e-18`` relative; at
-    beta = 0 that is the exact Kronecker delta, with the series' sign (-1)^n.
+    relative of extended precision where ``|g|`` is at least 1e-3 of the
+    column's maximum, else within 1e-13 of the larger neighbour.  Below
+    ``beta = 2**-40`` a value is its leading series term
+    ``(-1)^min(m,n) beta^|m-n| sqrt(max!/min!) / |m-n|!``, off by less than
+    1e-18 relative; beta = 0 gives the exact Kronecker delta.
 
-    *Cost.*  One cached column per (n, beta) of O(beta sqrt(n) + beta^2)
-    entries at about 1 us each (0.15-1 ms for windows of 130-3000), then
-    O(1) per index in the window.  An index off it gets a column of its own
-    stretched to reach it, O(distance): about 0.3 s for 0 at n = 10**6.
+    *Cost.*  About 1 us an entry for the column over :func:`_core_window`,
+    0.15-1 ms for 130-3000 entries.  An index off that window reads the
+    column stretched by whole window widths until it is reached, built once
+    per block asked for: O(distance), 0.3 s for 0 at n = 10**6.
     """
     ells = np.asarray(ells, dtype=np.int64)
     if beta < _TINY_BETA:
@@ -296,13 +297,16 @@ def _overlap_column(ells, n: int, beta: float):
             log_abs = np.where(d == 0, 0.0, d * np.log(beta)) - _ln_factorial(d)
         log_abs += 0.5 * (_ln_factorial(high) - _ln_factorial(low))
         return log_abs, np.where(log_abs == _NEG_INF, 0, 1 - 2 * (low % 2)).astype(np.int8)
-    lo, core_frac, core_exp = _core_column(n, beta)
-    index = np.clip(ells - lo, 0, core_frac.size - 1)
-    frac, exp = core_frac[index], core_exp[index]
-    for i in np.flatnonzero(index != ells - lo):  # off the window: a column reaching it
-        ell = int(ells[i])
-        far_frac, far_exp = _column(n, beta, min(ell, lo), max(ell, lo + core_frac.size - 1))
-        frac[i], exp[i] = far_frac[ell - min(ell, lo)], far_exp[ell - min(ell, lo)]
+    lo, hi = _core_window(n, beta)
+    width = hi - lo + 1
+    first = np.where(ells < lo, np.maximum(0, lo + (ells - lo) // width * width), lo)
+    last = np.where(ells > hi, hi - (hi - ells) // width * width, hi)
+    frac, exp = np.empty(ells.shape), np.empty(ells.shape, np.int64)
+    for start, stop in sorted(set(zip(first.tolist(), last.tolist()))):
+        pick = (first == start) & (last == stop)
+        column = _cached_column if stop - start < _CACHED_COLUMN else _column
+        col_frac, col_exp = column(n, beta, start, stop)
+        frac[pick], exp[pick] = col_frac[ells[pick] - start], col_exp[ells[pick] - start]
     with np.errstate(divide="ignore"):
         return np.log(np.abs(frac)) + exp * _LN2, np.sign(frac).astype(np.int8)
 

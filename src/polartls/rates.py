@@ -158,9 +158,8 @@ def partial_rate(from_state: DressedState, n_prime: int, params: ModelParams) ->
 def _candidate_final_indices(state: DressedState, params: ModelParams) -> range:
     """Allowed final indices restricted to where overlaps have support.
 
-    The caps are the support reach of the overlap column
-    (:func:`polartls.overlaps._window_reach`), inside the column's window;
-    the dropped tail is below 1e-12 of any total.
+    The caps are :func:`polartls.overlaps._window_reach`; the dropped tail
+    is below 1e-12 of any total.
     """
     full = allowed_final_indices(state, params)
     if len(full) == 0:

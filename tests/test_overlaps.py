@@ -279,7 +279,8 @@ class TestRouteConsistency:
 
 def column_values(n, beta):
     """(lo, g) of the overlap column of ket n over its window, as doubles."""
-    lo, frac, exp = overlaps._core_column(n, beta)
+    lo, hi = overlaps._core_window(n, beta)
+    frac, exp = overlaps._column(n, beta, lo, hi)
     return lo, np.ldexp(frac, exp)
 
 
@@ -365,23 +366,32 @@ class TestOverlapColumn:
             got = overlap_log_abs(ell, ket, p)
             assert abs(got - want) <= 4 * math.ulp(want)
 
-    def test_value_does_not_depend_on_the_request(self):
+    def test_value_does_not_depend_on_the_request(self, monkeypatch):
         # a far-detuned lower level: every listed channel lies below the
-        # column's window, so each one gets a column of its own
+        # column's window, and all of them are read from at most two
+        # columns stretched down by whole window widths
         p = ModelParams.from_ratios(0.002, 0.005)
         state = DressedState("g", 300)
-        lo, _ = column_values(300, p.beta)
+        lo, hi = overlaps._core_window(300, p.beta)
+        columns = count_columns(monkeypatch)
         table = total_rate(state, p)
+        assert len(columns) <= 2
         finals = [t.final.n for t in table.transitions]
         assert finals and max(finals) < lo
-        logs, _ = overlaps._overlap_column(finals + [lo, lo + 1], 300, p.beta)
-        for rec, log_abs in zip(table.transitions, logs.tolist()):
-            alone = overlap_log_abs(rec.final.n, 300, p)
-            assert alone == log_abs
+        extra = [lo, lo + 1, hi + 1, 2 * hi - lo + 5]  # two above the window
+        logs, _ = overlaps._overlap_column(finals + extra, 300, p.beta)
+        for ell, log_abs in zip(finals + extra, logs.tolist()):
+            assert overlap_log_abs(ell, 300, p) == log_abs
+        for rec in table.transitions:
             assert rec.rate_over_gamma0 == partial_rate(state, rec.final.n, p)
 
+    def test_large_beta_pair(self):
+        # the column of ket 0 reaches beta^2 + 40 beta = 176,000 entries
+        p = params_for_beta(400.0)
+        assert overlap_log_abs(0, 0, p) == pytest.approx(-400.0**2 / 2, rel=1e-13)
+
     def test_oversized_column_is_refused(self):
-        # at beta = 1e4 the window alone spans 20 beta^2 = 2e9 entries
+        # at beta = 1e4 the column of ket 0 spans beta^2 + 40 beta, about 1e8 entries
         with pytest.raises(ValueError, match="past the limit"):
             overlap_log_abs(0, 0, params_for_beta(1e4))
 
@@ -393,8 +403,21 @@ class TestOverlapColumn:
             return overlaps._overlap_column(*args)
 
         monkeypatch.setattr(rates, "_overlap_column", counting)
-        overlaps._core_column.cache_clear()
+        columns = count_columns(monkeypatch)
         table = total_rate(DressedState("e", 250), ModelParams.from_ratios(1.0, 0.5))
         assert len(table.transitions) > 200
         assert len(calls) == 1
-        assert overlaps._core_column.cache_info().misses == 1
+        assert len(columns) == 1
+
+
+def count_columns(monkeypatch):
+    """A list that records the (n, beta, lo, hi) of every column read, cached or not."""
+    columns, column = [], overlaps._column
+
+    def counting(*args):
+        columns.append(args)
+        return column(*args)
+
+    monkeypatch.setattr(overlaps, "_column", counting)
+    monkeypatch.setattr(overlaps, "_cached_column", counting)
+    return columns
