@@ -36,7 +36,7 @@ from functools import lru_cache
 import numpy as np
 
 from .ladder import DressedState, TransitionRecord
-from .numerics import _checked_int
+from .numerics import _checked_int, _mulhilo
 from .overlaps import ModelParams
 from .rates import total_rate
 
@@ -63,14 +63,12 @@ _PHILOX_M1 = 0xCA5A826395121157
 _PHILOX_W0 = 0x9E3779B97F4A7C15
 _PHILOX_W1 = 0xBB67AE8584CAA73B
 _PHILOX_ROUNDS = 10
-_LOW32 = np.uint64(0xFFFFFFFF)
-_U32 = np.uint64(32)
 _U11 = np.uint64(11)
 _ONE = np.uint64(1)
 _TWO_M53 = 2.0**-53
 
 # Rows of the trajectory log formatted per write.
-_LOG_CHUNK_ROWS = 1 << 16
+_LOG_CHUNK_ROWS = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -245,16 +243,6 @@ class _RateGraph:
         for c in np.unique(channel[targets[channel] < 0]).tolist():
             targets[c] = self.number(kernel.records[c].final)
         return channel, targets[channel]
-
-
-def _mulhilo(a: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """Low and high 64-bit words of the 128-bit products ``a * m``."""
-    m_lo, m_hi = np.uint64(m & 0xFFFFFFFF), np.uint64(m >> 32)
-    a_lo, a_hi = a & _LOW32, a >> _U32
-    cross_lo, cross_hi = a_lo * m_hi, a_hi * m_lo
-    mid = ((a_lo * m_lo) >> _U32) + (cross_lo & _LOW32) + (cross_hi & _LOW32)
-    hi = a_hi * m_hi + (cross_lo >> _U32) + (cross_hi >> _U32) + (mid >> _U32)
-    return a * np.uint64(m), hi
 
 
 def _philox4x64(counter: int, key0: int, key1: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -432,38 +420,37 @@ def emission_spectrum(trajectories, bin_width: float) -> SpectrumHistogram:
 
 def _log_chunks(ensemble: Ensemble, delimiter: str):
     """The log text: the header line, then rows in blocks of lines."""
+    from . import _text  # only the writers load it
+
     yield (
         "# trajectory_id,jump_index,time,from_branch,from_n,"
         "to_branch,to_n,photon_freq\n".replace(",", delimiter)
     )
     # Everything after the time depends only on the (state, channel) pair.
-    tails = [
-        delimiter.join(
-            (rec.initial.branch, str(rec.initial.n), rec.final.branch,
-             str(rec.final.n), repr(rec.photon_freq))
-        ) + "\n"
+    tails = _text.str_cells(
+        delimiter.join((rec.initial.branch, str(rec.initial.n), rec.final.branch,
+                        str(rec.final.n), repr(rec.photon_freq)))
         for kernel in ensemble.kernels
         for rec in kernel.records
-    ]
+    )
     flat = ensemble._flat_channel()
     for lo in range(0, flat.size, _LOG_CHUNK_ROWS):
-        hi = lo + _LOG_CHUNK_ROWS
-        yield "".join([
-            f"{i}{delimiter}{j}{delimiter}{t!r}{delimiter}{tails[c]}"
-            for i, j, t, c in zip(
-                ensemble.trajectory_id[lo:hi].tolist(),
-                ensemble.jump_index[lo:hi].tolist(),
-                ensemble.time[lo:hi].tolist(),
-                flat[lo:hi].tolist(),
-            )
-        ])
+        rows = slice(lo, lo + _LOG_CHUNK_ROWS)
+        yield _text.rows_text(
+            [ensemble.trajectory_id[rows], ensemble.jump_index[rows], ensemble.time[rows],
+             tails.take(flat[rows])],
+            delimiter,
+        )
 
 
 def write_trajectory_log(ensemble: Ensemble, path, delimiter: str = ",") -> None:
     """Write one line per jump: trajectory id, jump index, time, states, photon.
 
-    Floats are written with ``repr`` so the log round-trips exactly.  The
-    log is written to a temporary file beside ``path`` and renamed into
+    Each line is exactly ``delimiter.join(fields) + "\\n"`` with integers as
+    ``str`` and floats as ``repr`` gives them, so the log round-trips
+    exactly; ``delimiter`` is any string, written as UTF-8.  The text is
+    rendered a block of rows at a time by :mod:`polartls._text`.  The log
+    is written to a temporary file beside ``path`` and renamed into
     place, so ``path`` ends up either complete or untouched.
     """
     if not isinstance(ensemble, Ensemble):

@@ -40,7 +40,8 @@ from .cascade import _MAX_SEED, _write_atomically
 from .ladder import DressedState, allowed_final_indices
 from .numerics import MAX_BESSEL_ARG, _checked_int
 from .overlaps import MAX_LADDER_INDEX, ModelParams, _checked_index, overlap_bessel, overlap_exact
-from .rates import DEBYE, Gamma0Params, _rounded_index, gamma0_si, partial_rate, total_rate
+from .rates import DEBYE, Gamma0Params, _check_drive_reach, _rounded_index, gamma0_si, partial_rate
+from .rates import total_rate
 from .rates import absorption_g1_mesh, partial_e0_mesh, semiclassical_mesh, suppression_e0_mesh
 from .rates import semiclassical_totals
 # Not called here, but bench/inprocess.py wraps these two by their names in this module.
@@ -65,7 +66,8 @@ _DEFAULT_COUPLING_AXIS = "0,4,101,linear"
 _DEFAULT_DRIVE_AXIS = "0.05,2,101,linear"
 _DEFAULT_SQRT_N_AXIS = "100,1000,20,log"
 _DEFAULT_P_VALUES = "0,1,2,3"
-# Grid cells evaluated, formatted and written per block of whole drive rows.
+# Cells evaluated, formatted and written per block: whole drive rows of a
+# grid, or overlap_compare points.
 _SWEEP_BLOCK_CELLS = 4096
 
 
@@ -187,6 +189,8 @@ def _grid_blocks(config: SweepConfig):
         raise _UsageError(f"phi must be finite, got {phi!r}")
 
     values = ["value"]
+    if config.quantity in ("suppression_e0", "semiclassical_totals"):
+        _usage(_check_drive_reach, "--omega-l", config.drive_axis.values())
     if config.quantity == "suppression_e0":
         kernel = suppression_e0_mesh
     elif config.quantity == "absorption_g1":
@@ -205,20 +209,22 @@ def _grid_blocks(config: SweepConfig):
         values = ["gamma_e", "gamma_g"]
     columns = ["omega_L_over_omega0", "Omega_a_over_omega0", *values]
 
+    from . import _text  # only the writers load it
+
     couplings = config.coupling_axis.values()
     drives = config.drive_axis.values()
-    coupling_cells = list(map(repr, couplings.tolist()))
-    drive_cells = list(map(repr, drives.tolist()))
+    coupling_cells = _text.float_cells(couplings)
+    drive_cells = _text.float_cells(drives)
     step = max(1, _SWEEP_BLOCK_CELLS // couplings.size)
 
     def blocks():
         for lo in range(0, drives.size, step):
             out = kernel(couplings[None, :], drives[lo : lo + step, None])
-            rows = drive_cells[lo : lo + step]
+            rows = np.arange(lo, min(lo + step, drives.size))
             yield [
-                [cell for cell in rows for _ in coupling_cells],
-                coupling_cells * len(rows),
-                *(list(map(repr, v.tolist())) for v in np.reshape(out, (len(values), -1))),
+                drive_cells.take(np.repeat(rows, couplings.size)),
+                coupling_cells.take(np.tile(np.arange(couplings.size), rows.size)),
+                *np.reshape(out, (len(values), -1)),
             ]
 
     return columns, drives.size * couplings.size, blocks()
@@ -254,10 +260,14 @@ def _overlap_compare_blocks(config: SweepConfig):
     columns = ["sqrt_n", "p", "exact_sq", "bessel_sq"]
 
     def blocks():
-        for sqrt_n, n, p in points:
-            exact = overlap_exact(n, n - p, params).abs_squared
-            asymptotic = overlap_bessel(n, p, params).abs_squared
-            yield [[repr(sqrt_n)], [str(p)], [repr(exact)], [repr(asymptotic)]]
+        for lo in range(0, len(points), _SWEEP_BLOCK_CELLS):
+            block = points[lo : lo + _SWEEP_BLOCK_CELLS]
+            squares = [
+                (overlap_exact(n, n - p, params).abs_squared, overlap_bessel(n, p, params).abs_squared)
+                for _, n, p in block
+            ]
+            sqrt_n, _, p = zip(*block)
+            yield [np.array(sqrt_n), np.array(p, dtype=np.int64), *np.array(squares).T]
 
     return columns, len(points), blocks()
 
@@ -285,13 +295,15 @@ def run_sweep(config: SweepConfig) -> int:
 
 
 def _csv_chunks(config: SweepConfig, columns, blocks):
+    from . import _text  # only the writers load it
+
     head = f"# quantity={config.quantity}\n"
     if config.fixed:
         pinned = " ".join(f"{k}={config.fixed[k]!r}" for k in sorted(config.fixed))
         head += f"# fixed {pinned}\n"
     yield head + ",".join(columns) + "\n"
     for block in blocks:
-        yield "\n".join(map(",".join, zip(*block))) + "\n"
+        yield _text.rows_text(block, ",")
 
 
 _JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
@@ -299,12 +311,14 @@ _JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 def _json_chunks(config: SweepConfig, columns, blocks):
     """The text ``json.dump(payload, indent=1)`` writes, one block at a time."""
+    from . import _text  # only the writers load it
+
     head = {"quantity": config.quantity, "fixed": dict(sorted(config.fixed.items())),
             "columns": list(columns)}
     separator = json.dumps(head, indent=1)[:-2] + ',\n "rows": [\n'
     for block in blocks:
-        rows = [[_JSON_NONFINITE.get(cell, cell) for cell in row] for row in zip(*block)]
-        yield separator + ",\n".join("  [\n   " + ",\n   ".join(row) + "\n  ]" for row in rows)
+        rows = _text.rows_text(block, ",\n   ", ",\n  [\n   ", "\n  ]", _JSON_NONFINITE)
+        yield separator + rows[2:]  # each row starts ",\n", the first row of all not
         separator = ",\n"
     yield "\n ]\n}\n"
 
@@ -499,6 +513,7 @@ def _cmd_overlap(args) -> int:
 def _cmd_semiclassical(args) -> int:
     params = _params_from_args(args)
     n_round = _usage(_rounded_index, "--n-bar", args.n_bar, 1)
+    _usage(_check_drive_reach, "--omega-l", params.drive_ratio)
     _check_bessel_arg(
         params.coupling_ratio * math.sqrt(n_round) / params.drive_ratio,
         "omega_a sqrt(n_bar) / omega_l",

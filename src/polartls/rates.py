@@ -20,7 +20,7 @@ import numpy as np
 
 from .ladder import DressedState, TransitionRecord, _snapped
 from .ladder import allowed_final_indices, photon_frequency
-from .numerics import MAX_BESSEL_ARG, _bessel_j_orders, _checked_int, _ln_factorial
+from .numerics import MAX_BESSEL_ARG, MAX_LADDER_INDEX, _bessel_j_orders, _checked_int, _ln_factorial
 from .numerics import bessel_j, bessel_truncation_order
 from .overlaps import ModelParams, _checked_index, _overlap_column, _window_reach, overlap_log_abs
 
@@ -231,9 +231,24 @@ def _ordered_sum(terms, first, last) -> np.ndarray:
     return total
 
 
+def _check_drive_reach(drive_ratio) -> None:
+    """The closed-form tables run to ladder index ``floor(omega0/omega_L)``
+    of each cell; past MAX_LADDER_INDEX (or nan) that is refused before any
+    table is sized."""
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        reach = np.floor(_snapped(1.0 / drive_ratio))
+    past = ~(reach <= MAX_LADDER_INDEX)
+    if past.any():
+        raise ValueError(
+            f"omega0/omega_L reaches ladder index {reach[past][0]:.6g}, past the limit "
+            f"{MAX_LADDER_INDEX} (MAX_LADDER_INDEX)"
+        )
+
+
 def suppression_e0_mesh(coupling_ratio, drive_ratio) -> np.ndarray:
     """:func:`suppression_rate_e0` over broadcast ratio arrays."""
     c, d, shape = _cells(coupling_ratio, drive_ratio)
+    _check_drive_reach(d)
     beta = c / (2.0 * d)
     lam = beta * beta
     # Poisson weights die off well inside this window.
@@ -380,6 +395,7 @@ def semiclassical_mesh(n_bar: float, coupling_ratio, drive_ratio):
     """:func:`semiclassical_totals` over broadcast ratio arrays: ``(gamma_e, gamma_g)``."""
     n_round = _rounded_index(n_bar, minimum=1)
     c, d, shape = _cells(coupling_ratio, drive_ratio)
+    _check_drive_reach(d)
     x = c * math.sqrt(n_round) / d
     if np.any(x > MAX_BESSEL_ARG):  # before any table is sized from x
         raise ValueError(

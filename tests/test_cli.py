@@ -375,9 +375,14 @@ class TestSweepMesh:
     def test_blocks_do_not_change_the_text(self, tmp_path, monkeypatch, quantity, extra):
         coupling = "0,0.02,5" if quantity == "semiclassical_totals" else "0,4,5"
         whole, _ = sweep_cells(tmp_path, "whole.csv", quantity, coupling, "0.25,1.5,7", *extra)
+        json_argv = ["sweep", "--quantity", quantity, "--omega-a", coupling, "--omega-l",
+                     "0.25,1.5,7", *extra, "--format", "json"]
+        assert main([*json_argv, "--output", str(tmp_path / "whole.json")]) == 0
         monkeypatch.setattr(cli, "_SWEEP_BLOCK_CELLS", 3)  # one drive row per block
         rowwise, _ = sweep_cells(tmp_path, "rows.csv", quantity, coupling, "0.25,1.5,7", *extra)
         assert rowwise == whole
+        assert main([*json_argv, "--output", str(tmp_path / "rows.json")]) == 0
+        assert (tmp_path / "rows.json").read_text() == (tmp_path / "whole.json").read_text()
         # the first two rows alone, as a sweep of their own
         second = float(np.linspace(0.25, 1.5, 7)[1])
         first, _ = sweep_cells(
@@ -728,3 +733,41 @@ class TestBesselArgumentLimit:
         argv = ["overlap", "--ell", "1000000", "--n", "999999", "--method", "bessel"]
         assert main([*argv, "--omega-a", "10", "--omega-l", "1"]) == 0
         assert "|overlap|" in capsys.readouterr().out
+
+
+class TestLadderIndexLimit:
+    """Closed-form tables run to ladder index floor(omega0/omega_L), so a drive
+    past MAX_LADDER_INDEX exits 2 before anything is computed or written."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sweep", "--quantity", "suppression_e0", "--omega-a", "0,1,3",
+             "--omega-l", "1e-300,1,3,linear"],
+            ["sweep", "--quantity", "semiclassical_totals", "--fix", "n_bar=1e4",
+             "--omega-a", "0,1e-3,3", "--omega-l", "1e-7,1,3"],
+            ["semiclassical", "--n-bar", "1e4", "--omega-a", "0", "--omega-l", "1e-7"],
+        ],
+    )
+    def test_past_the_limit_is_usage_error(self, tmp_path, capsys, monkeypatch, argv):
+        def no_compute(*args, **kwargs):
+            raise AssertionError("computed past the ladder-index limit")
+
+        for name in ("suppression_e0_mesh", "semiclassical_mesh", "semiclassical_totals"):
+            monkeypatch.setattr(cli, name, no_compute)
+        extra = ["--output", str(tmp_path / "s.csv")] if argv[0] == "sweep" else []
+        assert main([*argv, *extra]) == 2
+        err = capsys.readouterr().err
+        assert "--omega-l" in err and "past the limit 1000000" in err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_at_the_limit_runs(self, tmp_path):
+        # floor(1 / 1e-6) is the limit itself; beta <= 0.5 keeps the Poisson window small
+        out = tmp_path / "s.csv"
+        argv = ["sweep", "--quantity", "suppression_e0", "--omega-a", "0,1e-6,2",
+                "--omega-l", "1e-6,1,2", "--output", str(out)]
+        assert main(argv) == 0
+        rows = [[float(cell) for cell in row] for row in read_csv(out)[2]]
+        assert [row[:2] for row in rows] == [[1e-6, 0.0], [1e-6, 1e-6], [1.0, 0.0], [1.0, 1e-6]]
+        for drive, coupling, value in rows:
+            assert value == suppression_rate_e0(ModelParams.from_ratios(coupling, drive))

@@ -2,6 +2,7 @@
 
 import math
 import warnings
+from functools import partial
 
 import mpmath as mp
 import numpy as np
@@ -379,6 +380,25 @@ class TestMeshKernels:
                 row_e, row_g = semiclassical_mesh(n_bar, couplings, float(drives[i]))
                 assert (row_e[j], row_g[j]) == (ge, gamma_g[i, j])
             assert np.all(gamma_e[:, 0] == 1.0) and np.all(gamma_g[:, 0] == 0.0)
+
+    @pytest.mark.parametrize("kernel", ["suppression_e0_mesh", "semiclassical_mesh"])
+    def test_drive_past_the_ladder_index_limit_is_refused(self, monkeypatch, kernel):
+        def no_table(*args, **kwargs):
+            raise AssertionError("a table was sized")
+
+        monkeypatch.setattr(rates, "_ordered_sum", no_table)
+        monkeypatch.setattr(rates, "_semiclassical_gamma_g", no_table)
+        call = getattr(rates, kernel)
+        if kernel == "semiclassical_mesh":
+            call = partial(call, 1e4)
+        for drive in (1e-300, 1e-7, 0.0):
+            with pytest.raises(ValueError, match="past the limit 1000000"):
+                call(np.array([0.0, 1e-3]), np.array([[0.5], [drive]]))
+        for smallest in (-0.0, -1.0):  # a reach below zero hides no cell
+            with pytest.raises(ValueError, match="past the limit 1000000"):
+                call(np.array([0.0, 1e-3]), np.array([[smallest], [1e-9]]))
+        with pytest.raises(ValueError, match="MAX_LADDER_INDEX"):
+            suppression_rate_e0(ModelParams.from_ratios(1.0, 1e-7))
 
     def test_against_math_loops(self):
         # The per-point loops the kernels replaced (libm and math.fsum), with
