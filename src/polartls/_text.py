@@ -34,8 +34,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .numerics import _mulhilo
-
 __all__: list[str] = []
 
 _K_MIN, _K_MAX = -324, 292  # decimal exponents of the power table
@@ -45,7 +43,8 @@ _BILLION = np.uint64(10**9)
 _TEN = np.uint32(10)
 _MASK52 = np.uint64((1 << 52) - 1)
 _MASK63 = np.uint64((1 << 63) - 1)
-_U1, _U2, _U52, _U63 = (np.uint64(s) for s in (1, 2, 52, 63))
+_LOW32 = np.uint64(0xFFFFFFFF)
+_U1, _U2, _U32, _U52, _U63 = (np.uint64(s) for s in (1, 2, 32, 52, 63))
 # A float cell holds every character any layout can need, in order; its
 # layout keeps some of them.  Digit i of the 17 right-aligned digits sits
 # at column 6 + 2i, with a decimal point slot after it.
@@ -108,6 +107,17 @@ def _tables():
     for table in tables:
         table.flags.writeable = False  # shared by every caller
     return tables
+
+
+def _mulhilo(a, b):
+    """Low and high 64-bit words of the 128-bit products ``a * b`` of two
+    uint64 arrays, by 32-bit halves."""
+    a_lo, a_hi = a & _LOW32, a >> _U32
+    b_lo, b_hi = b & _LOW32, b >> _U32
+    cross_lo, cross_hi = a_lo * b_hi, a_hi * b_lo
+    mid = ((a_lo * b_lo) >> _U32) + (cross_lo & _LOW32) + (cross_hi & _LOW32)
+    hi = a_hi * b_hi + (cross_lo >> _U32) + (cross_hi >> _U32) + (mid >> _U32)
+    return a * b, hi
 
 
 def _round_to_odd(g1, g0, cp):

@@ -7,12 +7,14 @@ reaches a dark state (or a jump cap).  Times are in units of
 ``1/gamma0``.
 
 All trajectories of an ensemble advance in lockstep, one jump per numpy
-step.  The random stream is versioned as ``philox4x64-inv-v1``
-(:data:`RNG_SCHEME`): trajectory ``i`` of an ensemble with seed ``s``
-uses the Philox4x64-10 key ``(s, i)``, the key numpy's
-``Philox(key=s + (i << 64))`` takes, and its jump ``j`` uses the 4-word
-block at counter ``j + 1`` (block ``j`` of that numpy stream).  Word 0
-gives the waiting time by inversion, ``-log(u) / total`` with
+step.  The random stream is versioned as ``philox4x64-inv-v2``
+(:data:`RNG_SCHEME`): an ensemble with seed ``s`` uses the
+Philox4x64-10 key ``(s, 0)``, and jump ``j`` of trajectory ``i`` reads
+the 4-word block at the 256-bit counter ``(i, j + 1, 0, 0)``, the block
+numpy's ``Philox(key=s, counter=((j + 1) << 64) + i - 1).random_raw(4)``
+returns (numpy steps the counter before each block).  One such call per
+jump reads the blocks of every live trajectory at once.  Word 0 gives
+the waiting time by inversion, ``-log(u) / total`` with
 ``u = ((w0 >> 11) + 1) * 2**-53`` and the logarithm from the platform C
 library; word 1 gives ``v = (w1 >> 11) * 2**-53``, which picks the
 channel from the state's normalized cumulative rates.  Trajectory ``i``
@@ -20,9 +22,9 @@ therefore depends only on ``(seed, i)``: it is the same bits whatever
 the ensemble size, and :func:`sample_trajectory` with ``stream=i``
 reproduces it alone.  There is no thread pool: the ``threads`` argument
 of :func:`sample_ensemble` (and ``cascade --threads``) is accepted and
-ignored.  This scheme replaced per-trajectory numpy ``Generator`` draws,
-so a given seed yields different bits than before it, with the same
-statistics.
+ignored.  Version 2 replaced the per-trajectory keys ``(s, i)`` of
+``philox4x64-inv-v1``, so a given seed yields different bits than
+before it, with the same statistics.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from functools import lru_cache
 import numpy as np
 
 from .ladder import DressedState, TransitionRecord
-from .numerics import _checked_int, _mulhilo
+from .numerics import _checked_int
 from .overlaps import ModelParams
 from .rates import total_rate
 
@@ -51,18 +53,10 @@ __all__ = [
     "write_trajectory_log",
 ]
 
-RNG_SCHEME = "philox4x64-inv-v1"
+RNG_SCHEME = "philox4x64-inv-v2"
 
-_MASK64 = 2**64 - 1
-_MAX_SEED = _MASK64  # a seed or stream is one 64-bit key word
+_MAX_SEED = 2**64 - 1  # a seed is one 64-bit key word, a stream one counter word
 
-# Philox4x64-10 constants (Salmon et al., "Parallel random numbers: as
-# easy as 1, 2, 3", SC'11): round multipliers and key-schedule increments.
-_PHILOX_M0 = 0xD2E7470EE14C6C93
-_PHILOX_M1 = 0xCA5A826395121157
-_PHILOX_W0 = 0x9E3779B97F4A7C15
-_PHILOX_W1 = 0xBB67AE8584CAA73B
-_PHILOX_ROUNDS = 10
 _U11 = np.uint64(11)
 _ONE = np.uint64(1)
 _TWO_M53 = 2.0**-53
@@ -245,26 +239,6 @@ class _RateGraph:
         return channel, targets[channel]
 
 
-def _philox4x64(counter: int, key0: int, key1: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Philox4x64-10 blocks at counter ``(counter, 0, 0, 0)``, one per ``key1``.
-
-    The key of block ``i`` is ``(key0, key1[i])``: the block equals words
-    ``4*(counter-1) .. 4*counter-1`` of
-    ``np.random.Philox(key=key0 + (key1[i] << 64)).random_raw()``.
-    """
-    zeros = np.zeros(key1.size, dtype=np.uint64)
-    c0, c1, c2, c3 = zeros + np.uint64(counter), zeros, zeros, zeros
-    k1 = key1.copy()
-    for r in range(_PHILOX_ROUNDS):
-        if r:
-            key0 = (key0 + _PHILOX_W0) & _MASK64
-            k1 += np.uint64(_PHILOX_W1)
-        lo0, hi0 = _mulhilo(c0, _PHILOX_M0)
-        lo1, hi1 = _mulhilo(c2, _PHILOX_M1)
-        c0, c1, c2, c3 = hi1 ^ c1 ^ np.uint64(key0), lo1, hi0 ^ c3 ^ k1, lo0
-    return c0, c1, c2, c3
-
-
 def _sample(
     start: DressedState,
     params: ModelParams,
@@ -274,17 +248,25 @@ def _sample(
     max_jumps: int,
 ) -> Ensemble:
     """Lockstep sampler: streams ``first_stream .. first_stream+count-1``."""
+    from numpy.random import Philox  # only sampling pays for numpy.random
+
     graph = _RateGraph(params)
     graph.number(start)
-    keys = np.arange(count, dtype=np.uint64) + np.uint64(first_stream)
     clock = np.zeros(count)
     live = np.arange(count if graph.totals[0] > 0.0 else 0)
     state = np.zeros(live.size, dtype=np.int64)
+    jump_counts = np.zeros(count, dtype=np.int64)
     steps = []
     for jump in range(max_jumps):
         if not live.size:
             break
-        w0, w1, _, _ = _philox4x64(jump + 1, seed, keys[live])
+        # One call reads the blocks at counters (i, jump + 1) for the streams
+        # i from the first live one to the last; numpy steps before a block.
+        first = int(live[0])
+        bits = Philox(key=seed, counter=((jump + 1) << 64) + first_stream + first - 1)
+        words = bits.random_raw(4 * (int(live[-1]) - first + 1))
+        lane = (live - first) * 4
+        w0, w1 = words[lane], words[lane + 1]
         u = ((w0 >> _U11) + _ONE) * _TWO_M53
         v = (w1 >> _U11) * _TWO_M53
         # libm, not np.log: SIMD logarithms differ between builds in the last bit.
@@ -300,6 +282,7 @@ def _sample(
             rows = order[lo:hi]
             channel[rows], target[rows] = graph.jump(int(grouped[lo]), v[rows])
         steps.append((live, clock[live], state, target, channel))
+        jump_counts[live] = jump + 1
 
         going = np.array(graph.totals)[target] > 0.0
         live, state = live[going], target[going]
@@ -307,25 +290,24 @@ def _sample(
     truncated = np.zeros(count, dtype=bool)
     truncated[live] = True
 
-    def column(k, dtype):
-        return np.concatenate([step[k] for step in steps]) if steps else np.empty(0, dtype)
-
-    trajectory_id, time = column(0, np.int64), column(1, float)
-    from_state, to_state, channel = (column(k, np.int64) for k in (2, 3, 4))
-    jump_index = np.repeat(
-        np.arange(len(steps), dtype=np.int64), [step[0].size for step in steps]
-    )
+    # A trajectory live at a step was live at every earlier one, so its
+    # row for jump j is row_start[id] + j: scatter each step into place
+    # and drop it once written.
     row_start = np.zeros(count + 1, dtype=np.int64)
-    np.cumsum(np.bincount(trajectory_id, minlength=count), out=row_start[1:])
-    position = row_start[trajectory_id] + jump_index
-
-    def in_order(column):
-        out = np.empty_like(column)
-        out[position] = column
-        out.flags.writeable = False
-        return out
-
-    for array in (row_start, truncated):
+    np.cumsum(jump_counts, out=row_start[1:])
+    rows = int(row_start[-1])
+    trajectory_id, jump_index, from_state, to_state, channel = (
+        np.empty(rows, dtype=np.int64) for _ in range(5)
+    )
+    time = np.empty(rows)
+    columns = (trajectory_id, time, from_state, to_state, channel)
+    for jump in range(len(steps)):
+        step, steps[jump] = steps[jump], None
+        at = row_start[step[0]] + jump
+        for column, values in zip(columns, step):
+            column[at] = values
+        jump_index[at] = jump
+    for array in (row_start, truncated, jump_index, *columns):
         array.flags.writeable = False
     return Ensemble(
         seed=seed,
@@ -334,12 +316,12 @@ def _sample(
         states=tuple(graph.states),
         kernels=tuple(graph.kernels),
         row_start=row_start,
-        trajectory_id=in_order(trajectory_id),
-        jump_index=in_order(jump_index),
-        time=in_order(time),
-        from_state=in_order(from_state),
-        to_state=in_order(to_state),
-        channel=in_order(channel),
+        trajectory_id=trajectory_id,
+        jump_index=jump_index,
+        time=time,
+        from_state=from_state,
+        to_state=to_state,
+        channel=channel,
         truncated=truncated,
     )
 

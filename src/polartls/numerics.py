@@ -102,22 +102,6 @@ def _checked_int(value, name: str, lo: int | None = None, hi: int | None = None)
     raise ValueError(f"{name} must be an integer{bounds}, got {value!r}")
 
 
-_LOW32 = np.uint64(0xFFFFFFFF)
-_U32 = np.uint64(32)
-
-
-def _mulhilo(a: np.ndarray, b) -> tuple[np.ndarray, np.ndarray]:
-    """Low and high 64-bit words of the 128-bit products ``a * b``, by 32-bit
-    halves: ``a`` a uint64 array, ``b`` one of its shape or an int below 2**64."""
-    b = np.uint64(b) if isinstance(b, int) else b
-    a_lo, a_hi = a & _LOW32, a >> _U32
-    b_lo, b_hi = b & _LOW32, b >> _U32
-    cross_lo, cross_hi = a_lo * b_hi, a_hi * b_lo
-    mid = ((a_lo * b_lo) >> _U32) + (cross_lo & _LOW32) + (cross_hi & _LOW32)
-    hi = a_hi * b_hi + (cross_lo >> _U32) + (cross_hi >> _U32) + (mid >> _U32)
-    return a * b, hi
-
-
 # --- ln k! -------------------------------------------------------------------
 
 # cephes lgam: ln sqrt(2 pi) and its Stirling-series coefficients, highest first.

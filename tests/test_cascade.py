@@ -1,6 +1,11 @@
 """Monte-Carlo cascade sampling: determinism, statistics, log format."""
 
+import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,7 +15,6 @@ from polartls.cascade import (
     RNG_SCHEME,
     Trajectory,
     _jump_kernel,
-    _philox4x64,
     emission_spectrum,
     sample_ensemble,
     sample_trajectory,
@@ -178,9 +182,31 @@ class TestTrajectoryLog:
         assert len(lines[1].split("\t")) == 8
 
 
+_MASK64 = 2**64 - 1
+
+
+def _philox_block(key, counter):
+    """Philox4x64-10 (Salmon et al., "Parallel random numbers: as easy as
+    1, 2, 3", SC'11) in Python integers: the 4-word block at the 256-bit
+    ``counter`` under the 128-bit ``key``, both as little-endian words."""
+    c = [(counter >> (64 * k)) & _MASK64 for k in range(4)]
+    k0, k1 = key & _MASK64, key >> 64
+    for r in range(10):
+        if r:
+            k0, k1 = (k0 + 0x9E3779B97F4A7C15) & _MASK64, (k1 + 0xBB67AE8584CAA73B) & _MASK64
+        p0, p1 = 0xD2E7470EE14C6C93 * c[0], 0xCA5A826395121157 * c[2]
+        c = [(p1 >> 64) ^ c[1] ^ k0, p1 & _MASK64, (p0 >> 64) ^ c[3] ^ k1, p0 & _MASK64]
+    return c
+
+
+def _first_wait(seed, stream, total):
+    """The first waiting time of a stream, by inversion of the reference's word 0."""
+    w0 = _philox_block(seed, stream + (1 << 64))[0]
+    return -math.log(((w0 >> 11) + 1) * 2.0**-53) / total
+
+
 def _replay(start, params, seed, stream, max_jumps=1000):
-    """One trajectory stepped in Python from numpy's own Philox stream."""
-    words = np.random.Philox(key=seed + (stream << 64)).random_raw(4 * max_jumps)
+    """One trajectory stepped in Python from the scalar Philox reference."""
     state, time, jumps = start, 0.0, []
     while True:
         table = total_rate(state, params)
@@ -189,7 +215,7 @@ def _replay(start, params, seed, stream, max_jumps=1000):
             return jumps, False
         if len(jumps) == max_jumps:
             return jumps, True
-        w0, w1 = (int(w) for w in words[4 * len(jumps) : 4 * len(jumps) + 2])
+        w0, w1, _, _ = _philox_block(seed, stream + ((len(jumps) + 1) << 64))
         cumulative = np.cumsum([t.rate_over_gamma0 for t in live])
         total = float(cumulative[-1])
         cumulative /= total
@@ -201,25 +227,47 @@ def _replay(start, params, seed, stream, max_jumps=1000):
         state = record.final
 
 
+_IMPORT_SCRIPT = """
+import json, sys
+from polartls.cli import main
+out = sys.argv[1]
+model = ["--omega-a", "1", "--omega-l", "0.5"]
+runs = [
+    ["gamma0", "--omega0", "2.4e15", "--dipole-debye", "1"],
+    ["sweep", "--quantity", "absorption_g1", "--omega-a", "0,2,5", "--omega-l", "0.2,1.5,4",
+     "--output", out + "/absorption.csv"],
+    ["rate", "--branch", "e", "--n", "20", *model],
+    ["overlap", "--ell", "400", "--n", "398", *model],
+    ["semiclassical", "--n-bar", "1e4", *model],
+    ["cascade", "--branch", "e", "--n", "5", "--seed", "1", "--trajectories", "50",
+     "--output", out + "/cascade.log", *model],
+]
+loaded = []
+for argv in runs:
+    assert main(argv) == 0, argv
+    loaded.append("numpy.random" in sys.modules)
+print(json.dumps(loaded))
+"""
+
+
 class TestRandomStream:
-    def test_philox_matches_numpy(self):
-        rng = np.random.default_rng(8)
+    def test_numpy_philox_matches_reference(self):
+        # The sampler reads block (i, j + 1) as numpy's first block after
+        # counter (i, j + 1) - 1, several trajectories per call; check both
+        # sides of the word-0 carry, the extreme keys and a multi-block read.
         top = 2**64 - 1
-        key0s = [int(k) for k in rng.integers(0, 2**64, 6, dtype=np.uint64)]
-        key0s += [0, top, top - 1]
-        key1 = np.concatenate(
-            [rng.integers(0, 2**64, 8, dtype=np.uint64),
-             np.array([0, 1, top - 2, top], dtype=np.uint64)]
-        )
-        for key0 in key0s:
-            streams = [
-                np.random.Philox(key=key0 + (k << 64)).random_raw(32)
-                for k in key1.tolist()
-            ]
-            for counter in range(1, 9):
-                block = np.stack(_philox4x64(counter, key0, key1), axis=1)
-                expected = np.stack([w[4 * (counter - 1) : 4 * counter] for w in streams])
-                assert np.array_equal(block, expected)
+        for key in (0, 1, 2718, top):
+            for i in (0, 1, 2**63, top - 1, top):
+                for j in (0, 1, 41):
+                    counter = i + ((j + 1) << 64)
+                    block = np.random.Philox(key=key, counter=counter - 1).random_raw(4)
+                    assert block.tolist() == _philox_block(key, counter)
+            for first, last in ((0, 3), (top - 2, top)):
+                words = np.random.Philox(key=key, counter=(5 << 64) + first - 1)
+                expected = [
+                    w for i in range(first, last + 1) for w in _philox_block(key, i + (5 << 64))
+                ]
+                assert words.random_raw(4 * (last - first + 1)).tolist() == expected
 
     def test_matches_python_replay(self):
         p = ModelParams.from_ratios(1.0, 0.45)
@@ -236,28 +284,65 @@ class TestRandomStream:
         )
         assert (t.jumps, t.truncated) == (tuple(jumps), truncated)
 
-    def test_golden_first_jumps(self):
-        # Pins philox4x64-inv-v1; a change here is a stream break to version.
-        assert RNG_SCHEME == "philox4x64-inv-v1"
+    def test_sparse_late_jumps_match_replay(self):
+        # The last jump reads one long counter span for a few scattered live lanes.
+        p = ModelParams.from_ratios(2.0, 1.6)
+        start = DressedState("e", 40)
+        ens = sample_ensemble(start, p, seed=404, n_trajectories=150, max_jumps=12)
+        last = np.flatnonzero(ens.jump_counts == 12)
+        assert 2 <= last.size <= 8 and last[-1] - last[0] > 10 * last.size
+        for i in range(len(ens)):
+            jumps, truncated = _replay(start, p, 404, i, max_jumps=12)
+            assert (ens[i].jumps, ens[i].truncated) == (tuple(jumps), truncated)
+
+    def test_last_stream_matches_replay(self):
         p = ModelParams.from_ratios(1.0, 0.45)
-        ens = sample_ensemble(DressedState("e", 6), p, seed=2718, n_trajectories=4)
-        assert [t.jumps[0][0] for t in ens] == [
-            0.013829541545490268,
-            0.2400757741411704,
-            0.04433641986177987,
-            0.010345365546626606,
+        start = DressedState("e", 9)
+        for seed in (0, 2**64 - 1):
+            t = sample_trajectory(start, p, seed=seed, stream=2**64 - 1)
+            jumps, truncated = _replay(start, p, seed, 2**64 - 1)
+            assert (t.jumps, t.truncated) == (tuple(jumps), truncated)
+            assert t.jumps
+
+    def test_golden_first_jumps(self):
+        # Pins philox4x64-inv-v2; a change here is a stream break to version.
+        assert RNG_SCHEME == "philox4x64-inv-v2"
+        p = ModelParams.from_ratios(1.0, 0.45)
+        start = DressedState("e", 6)
+        total = total_rate(start, p).total_over_gamma0
+        ens = sample_ensemble(start, p, seed=2718, n_trajectories=4)
+        firsts = [t.jumps[0][0] for t in ens]
+        assert firsts == [_first_wait(2718, i, total) for i in range(4)]
+        assert firsts == [
+            0.1008888956831804,
+            0.10340906207155409,
+            0.038913415750689066,
+            0.09158109153599102,
         ]
-        assert [t.jumps[0][1].final.n for t in ens] == [1, 1, 3, 2]
+        assert [t.jumps[0][1].final.n for t in ens] == [2, 3, 3, 3]
         assert [t.jumps[-1][1].final for t in ens] == [
-            DressedState("g", 1),
-            DressedState("g", 1),
-            DressedState("g", 0),
             DressedState("g", 2),
+            DressedState("g", 0),
+            DressedState("g", 1),
+            DressedState("g", 1),
         ]
-        # The first uniform of stream 63 is one where AVX-512 np.log and
+        # The first uniform of stream 120 is one where AVX-512 np.log and
         # the C library's log differ in the last bit; the stream uses libm.
-        t = sample_trajectory(DressedState("e", 6), p, seed=2718, stream=63)
-        assert t.jumps[0][0] == 0.005752891958522443
+        t = sample_trajectory(start, p, seed=2718, stream=120)
+        assert t.jumps[0][0] == _first_wait(2718, 120, total) == 0.005834924236736532
+
+    def test_only_cascade_loads_numpy_random(self, tmp_path):
+        # numpy.random costs import time and memory that only sampling needs.
+        package_root = str(Path(cascade_module.__file__).resolve().parent.parent)
+        path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", _IMPORT_SCRIPT, str(tmp_path)],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": path},
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout.strip().splitlines()[-1]) == [False] * 5 + [True]
 
     def test_trajectory_depends_only_on_seed_and_stream(self):
         p = ModelParams.from_ratios(1.0, 0.45)

@@ -12,6 +12,7 @@ from polartls import cli
 from polartls.cli import AxisSpec, SweepConfig, main, run_sweep
 from polartls.ladder import DressedState, allowed_final_indices
 from polartls.rates import (
+    absorption_g1_mesh,
     absorption_rate_g1,
     partial_e0_mesh,
     partial_rate,
@@ -637,9 +638,9 @@ class TestCascadeCommand:
             "--output", str(out),
         ]
         assert main(argv) == 0
-        assert "rng = philox4x64-inv-v1" in capsys.readouterr().out
+        assert "rng = philox4x64-inv-v2" in capsys.readouterr().out
         assert main(argv + ["--format", "json"]) == 0
-        assert json.loads(capsys.readouterr().out)["rng"] == "philox4x64-inv-v1"
+        assert json.loads(capsys.readouterr().out)["rng"] == "philox4x64-inv-v2"
         assert out.read_text().splitlines()[0] == (
             "# trajectory_id,jump_index,time,from_branch,from_n,"
             "to_branch,to_n,photon_freq"
@@ -686,6 +687,34 @@ class TestExitCodes:
     def test_help_is_0(self, capsys):
         assert main(["--help"]) == 0
         assert "sweep" in capsys.readouterr().out
+
+    def test_allocation_failure_is_one_line_error(self, tmp_path, monkeypatch, capsys):
+        message = "Unable to allocate 727. TiB for an array with shape (10000000000000,)"
+
+        def no_memory(*args, **kwargs):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(cli, "sample_ensemble", no_memory)
+        assert main(["cascade", "--branch", "e", "--n", "5", "--omega-a", "0.5",
+                     "--omega-l", "0.5", "--seed", "1", "--trajectories", "10000000000000",
+                     "--output", str(tmp_path / "c.log")]) == 1
+        assert capsys.readouterr() == ("", f"error: out of memory: {message}\n")
+
+        blocks = []
+
+        def fails_on_second_block(coupling, drive):
+            blocks.append(drive.size)
+            if len(blocks) == 2:
+                raise MemoryError()
+            return absorption_g1_mesh(coupling, drive)
+
+        monkeypatch.setattr(cli, "absorption_g1_mesh", fails_on_second_block)
+        monkeypatch.setattr(cli, "_SWEEP_BLOCK_CELLS", 5)
+        assert main(["sweep", "--quantity", "absorption_g1", "--omega-a", "0,1,5",
+                     "--omega-l", "0.5,1,4", "--output", str(tmp_path / "s.csv")]) == 1
+        assert blocks == [1, 1]
+        assert capsys.readouterr() == ("", "error: out of memory\n")
+        assert list(tmp_path.iterdir()) == []
 
     def test_subprocess_entry_point(self, tmp_path):
         out = tmp_path / "s.csv"
