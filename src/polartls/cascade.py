@@ -388,6 +388,8 @@ def emission_spectrum(trajectories, bin_width: float) -> SpectrumHistogram:
             counts=np.empty(0, dtype=np.int64),
             total_photons=0,
         )
+    if freqs.max() > 2.0**53 * bin_width:  # past 2**53 a bin index is no longer exact
+        raise ValueError(f"bin_width {bin_width!r} puts a frequency past bin index 2**53")
     ks = np.rint(freqs / bin_width).astype(np.int64)
     k_lo, k_hi = int(ks.min()), int(ks.max())
     counts = np.bincount(ks - k_lo, minlength=k_hi - k_lo + 1)

@@ -39,13 +39,13 @@ from .cascade import RNG_SCHEME, emission_spectrum, sample_ensemble, write_traje
 from .cascade import _MAX_SEED, _write_atomically
 from .ladder import DressedState, allowed_final_indices
 from .numerics import MAX_BESSEL_ARG, _checked_int
-from .overlaps import MAX_LADDER_INDEX, ModelParams, _checked_index, overlap_bessel, overlap_exact
+from .overlaps import MAX_LADDER_INDEX, ModelParams, _check_span, _checked_index, _core_window
+from .overlaps import overlap_bessel, overlap_exact
 from .rates import DEBYE, Gamma0Params, _check_drive_reach, _rounded_index, gamma0_si, partial_rate
 from .rates import total_rate
 from .rates import absorption_g1_mesh, partial_e0_mesh, semiclassical_mesh, suppression_e0_mesh
 from .rates import semiclassical_totals
-# Not called here, but bench/inprocess.py wraps these two by their names in this module.
-from .rates import absorption_rate_g1, suppression_rate_e0  # noqa: F401
+from .rates import absorption_rate_g1, suppression_rate_e0  # noqa: F401 (for bench WRAPPED)
 
 __all__ = ["AxisSpec", "SweepConfig", "run_sweep", "main"]
 
@@ -174,6 +174,12 @@ def _check_bessel_arg(x: float, what: str) -> None:
         )
 
 
+def _check_column(n: int, params: ModelParams) -> None:
+    """The overlap column of ket ``n``, the largest a command reads, must fit the
+    kernel's size limit; checked before anything is computed or written."""
+    _usage(_check_span, "--omega-a/--omega-l", n, params.beta, *_core_window(n, params.beta))
+
+
 def _grid_blocks(config: SweepConfig):
     """Columns, row count and a generator of blocks of formatted cells (whole
     drive rows, evaluated by a mesh kernel) for the coupling x drive grid."""
@@ -256,6 +262,7 @@ def _overlap_compare_blocks(config: SweepConfig):
                 )
             _check_bessel_arg(coupling * math.sqrt(n) / drive, "omega_a sqrt(n) / omega_l")
             points.append((float(sqrt_n), n, p))
+    _check_column(max(n - p for _, n, p in points), params)  # overlap_exact(n, n - p) reads ket n - p
 
     columns = ["sqrt_n", "p", "exact_sq", "bessel_sq"]
 
@@ -442,11 +449,11 @@ def _params_from_args(args) -> ModelParams:
 
 
 def _state_from_args(args, params: ModelParams) -> DressedState:
-    """The ``--branch``/``--n`` state, checked against the ladder-index limit.
+    """The ``--branch``/``--n`` state, checked against the ladder-index and column limits.
 
     Rate tables from ``(e,n)`` reach index ``n + floor(omega0/omega_L)``
     (cascades from it reach no further); from ``(g,n)`` they stay at or
-    below ``n``.
+    below ``n``.  No ket past that reach is read.
     """
     state = _usage(DressedState, "--n", args.branch, args.n)
     finals = allowed_final_indices(state, params)
@@ -457,6 +464,7 @@ def _state_from_args(args, params: ModelParams) -> DressedState:
             f"ladder index {reach}, past the limit {MAX_LADDER_INDEX}; "
             "raise --omega-l or lower --n"
         )
+    _check_column(reach, params)
     return state
 
 
@@ -500,6 +508,8 @@ def _cmd_overlap(args) -> int:
             overlap_bessel, "--ell/--n", args.ell, args.ell - args.n, params, bra_sign
         )
     else:
+        if not args.same:
+            _check_column(args.n, params)
         ket_sign = bra_sign if args.same else None
         value = overlap_exact(args.ell, args.n, params, bra_sign, ket_sign)
     print(f"|overlap|   = {value.magnitude:.12g}")
@@ -540,8 +550,8 @@ def _cmd_cascade(args) -> int:
         max_jumps=args.max_jumps,
         threads=args.threads,
     )
+    spectrum = _usage(emission_spectrum, "--bin-width", ensemble, args.bin_width)
     write_trajectory_log(ensemble, args.output)
-    spectrum = emission_spectrum(ensemble, args.bin_width)
     jump_counts = ensemble.jump_counts
     total_times = ensemble.time[ensemble.row_start[1:][jump_counts > 0] - 1]
     summary = {

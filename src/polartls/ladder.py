@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .numerics import _checked_int
-from .overlaps import ModelParams
+from .overlaps import ModelParams, _checked_index
 
 __all__ = [
     "DressedState",
@@ -45,7 +45,7 @@ class DressedState:
     def __post_init__(self):
         if self.branch not in _BRANCH_SIGNS:
             raise ValueError(f"branch must be 'e' or 'g', got {self.branch!r}")
-        object.__setattr__(self, "n", _checked_int(self.n, "n", 0))
+        object.__setattr__(self, "n", _checked_index(self.n, "n"))
 
     @property
     def sign(self) -> int:

@@ -1,12 +1,9 @@
 """Log-safe scalar kernels shared by every other module.
 
-Everything factorial-sized in this package runs through the
-:class:`SignedLog` representation (natural log of the magnitude plus a
-sign), so quantities like ``170!`` or ``beta**(2n)`` never overflow a
-double.  The kernels here are pure functions of numpy and the standard
-library: associated Laguerre polynomials evaluated by a rescaled
-three-term recurrence and a sign-aware log-sum-exp reduction, plus the
-two special functions the rates need:
+Pure functions of numpy and the standard library: the rescaled three-term
+recurrence behind the overlap column and the associated Laguerre
+polynomials (returned as :class:`SignedLog`, log-magnitude plus sign), a
+sign-aware log-sum-exp reduction, and the two special functions the rates need:
 
 * ``ln k!`` (:func:`_ln_factorial`), cephes ``lgam`` at integer
   arguments, gathered from one process-wide table;

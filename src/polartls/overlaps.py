@@ -34,9 +34,7 @@ import numpy as np
 
 from .numerics import MAX_LADDER_INDEX, PrecisionLossWarning, _LN2, _checked_int, _ln_factorial
 from .numerics import _recurrence, assoc_laguerre_sequence, bessel_j
-# Unused here, but imported so the benchmark's tracer (bench/inprocess.py,
-# WRAPPED) still finds them on this module and test_benchmark_names_resolve passes.
-from .numerics import _signed_log_sum_arrays, assoc_laguerre  # noqa: F401
+from .numerics import _signed_log_sum_arrays, assoc_laguerre  # noqa: F401 (for bench WRAPPED)
 
 __all__ = [
     "ModelParams",
@@ -193,14 +191,6 @@ def _checked_sign(value, name: str) -> int:
     raise ValueError(f"{name} must be +1 or -1, got {value!r}")
 
 
-def _window_reach(n: int, beta: float) -> tuple[int, int]:
-    """How far below and above ``n`` rate tables list channels: past
-    ``x = 2 beta sqrt(n)`` below and the displaced-support width ``20 beta^2``
-    above, each with the completeness checks' margins."""
-    x = 2.0 * beta * math.sqrt(n)
-    return math.ceil(x + 40.0 * x ** (1.0 / 3.0) + 60.0), math.ceil(20.0 * beta * beta + 60.0)
-
-
 def _leg_start(edge: int, step: int, n: int, beta: float) -> int:
     """Where a leg starts (``step`` -1: below ``edge``, +1: above) to be exact at
     ``edge``, which must lie outside the oscillatory band.
@@ -216,6 +206,13 @@ def _leg_start(edge: int, step: int, n: int, beta: float) -> int:
     return max(0, edge + step * (math.ceil(21.0 / math.acosh(c)) + 1))
 
 
+def _check_span(n: int, beta: float, lo: int, hi: int) -> None:
+    """Refuse a column of ket ``n`` over ``lo .. hi`` of _MAX_COLUMN entries or more."""
+    if hi - lo >= _MAX_COLUMN:
+        raise ValueError(f"the overlap column of ket {n} at beta={beta:g} spans {hi - lo + 1} "
+                         f"entries, past the limit {_MAX_COLUMN}")
+
+
 def _column(n: int, beta: float, lo: int, hi: int):
     """``(frac, exp)`` of the column of ket ``n``, ``g = frac 2**exp``, over ``lo .. hi``.
 
@@ -227,9 +224,7 @@ def _column(n: int, beta: float, lo: int, hi: int):
     column is normalized to ``sum g^2 = 1`` (a column of a unitary matrix)
     and signed by ``g[m] ~ (-1)^m`` below the band.  No factorial enters.
     """
-    if hi - lo >= _MAX_COLUMN:
-        raise ValueError(f"the overlap column of ket {n} at beta={beta:g} spans {hi - lo + 1} "
-                         f"entries, past the limit {_MAX_COLUMN}")
+    _check_span(n, beta, lo, hi)
 
     def leg(first, last, seed):  # increasing index order, from seed at first and 0 before it
         step = 1 if last >= first else -1
@@ -261,10 +256,11 @@ _cached_column = functools.lru_cache(maxsize=256)(_column)
 
 def _core_window(n: int, beta: float) -> tuple[int, int]:
     """``(lo, hi)``: where the column of ket ``n`` has support, ``x + 40 x^{1/3} + 60``
-    below ``n`` (:func:`_window_reach`, ``x = 2 beta sqrt(n)``) and that plus
-    ``beta^2 + 40 beta`` above, at least ``40 x^{1/3} + 60`` past either
-    turning point ``(sqrt n -+ beta)^2``."""
-    below, _ = _window_reach(n, beta)
+    below ``n`` (``x = 2 beta sqrt(n)``) and that plus ``beta^2 + 40 beta`` above, at
+    least ``40 x^{1/3} + 60`` past either turning point ``(sqrt n -+ beta)^2``.  Every
+    rate table lists the allowed channels inside this window."""
+    x = 2.0 * beta * math.sqrt(n)
+    below = math.ceil(x + 40.0 * x ** (1.0 / 3.0) + 60.0)
     return max(0, n - below), n + below + math.ceil(beta * beta + 40.0 * beta)
 
 

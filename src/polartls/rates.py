@@ -12,7 +12,6 @@ large-index semiclassical limit, where overlaps become Bessel functions.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from typing import Mapping, NamedTuple
 
@@ -21,8 +20,8 @@ import numpy as np
 from .ladder import DressedState, TransitionRecord, _snapped
 from .ladder import allowed_final_indices, photon_frequency
 from .numerics import MAX_BESSEL_ARG, MAX_LADDER_INDEX, _bessel_j_orders, _checked_int, _ln_factorial
-from .numerics import bessel_j, bessel_truncation_order
-from .overlaps import ModelParams, _checked_index, _overlap_column, _window_reach, overlap_log_abs
+from .numerics import bessel_j, bessel_truncation_order  # noqa: F401 (the latter for bench WRAPPED)
+from .overlaps import ModelParams, _checked_index, _core_window, _overlap_column, overlap_log_abs
 
 __all__ = [
     "RateTable",
@@ -86,7 +85,7 @@ class PhotonDistribution:
             value = float(value)
             if not (math.isfinite(value) and value >= 0.0):
                 raise ValueError(f"weights must be finite and >= 0, got {value!r}")
-            cleaned[_checked_int(key, "index", 0)] = value
+            cleaned[_checked_index(key, "index")] = value
         total = math.fsum(cleaned.values())
         if abs(total - 1.0) > 1e-12:
             raise ValueError(f"weights must sum to 1 within 1e-12, got {total!r}")
@@ -98,16 +97,17 @@ class PhotonDistribution:
 
     @classmethod
     def poisson(cls, mean: float, cutoff: float = 1e-18) -> "PhotonDistribution":
-        """Poisson weights, truncated where terms fall below ``cutoff`` of
-        the peak and renormalized."""
+        """Poisson weights over :func:`_poisson_window`, truncated where terms
+        fall below ``cutoff`` of the peak and renormalized."""
         mean = float(mean)
-        if not (math.isfinite(mean) and 0.0 <= mean <= 1e7):
-            raise ValueError(f"0 <= mean <= 1e7 required, got {mean!r}")
+        if not (math.isfinite(mean) and mean >= 0.0):
+            raise ValueError(f"mean must be finite and >= 0, got {mean!r}")
         if mean == 0.0:
             return cls.delta(0)
-        spread = 40.0 * math.sqrt(mean + 1.0) + 20.0
-        lo = max(0, math.floor(mean - spread))
-        hi = math.ceil(mean + spread)
+        lo, hi = map(int, _poisson_window(mean))
+        if hi > MAX_LADDER_INDEX:
+            raise ValueError(f"the Poisson window of mean {mean!r} reaches index {hi}, past the "
+                             f"limit {MAX_LADDER_INDEX} (MAX_LADDER_INDEX)")
         ks = np.arange(lo, hi + 1)
         log_pmf = ks * math.log(mean) - mean - _ln_factorial(ks)
         log_pmf -= log_pmf.max()
@@ -156,23 +156,19 @@ def partial_rate(from_state: DressedState, n_prime: int, params: ModelParams) ->
 
 
 def _candidate_final_indices(state: DressedState, params: ModelParams) -> range:
-    """Allowed final indices restricted to where overlaps have support.
-
-    The caps are :func:`polartls.overlaps._window_reach`; the dropped tail
-    is below 1e-12 of any total.
-    """
-    full = allowed_final_indices(state, params)
-    if len(full) == 0:
-        return full
-    below, above = _window_reach(state.n, params.beta)
-    lo = max(full.start, state.n - below)
-    hi = min(full.stop - 1, state.n + above)
-    if lo > hi:
-        # Window and allowed range can only disconnect for a far-detuned
-        # lower branch, where every in-window channel is forbidden anyway;
-        # keep the nearest allowed channels to stay conservative.
-        return full if len(full) <= below else range(full.stop - below, full.stop)
-    return range(lo, hi + 1)
+    """The allowed final indices inside :func:`polartls.overlaps._core_window`, the
+    support window of the state's overlap column: the next allowed channel past
+    either end carries less than 2**-54 of a total (tests/test_rates.py)."""
+    lo, hi = _core_window(state.n, params.beta)
+    top = min(allowed_final_indices(state, params).stop - 1, hi)
+    if top > MAX_LADDER_INDEX:
+        raise ValueError(f"the channels of ({state.branch},{state.n}) reach ladder index {top}, "
+                         f"past the limit {MAX_LADDER_INDEX} (MAX_LADDER_INDEX)")
+    if 0 <= top < lo:
+        # Only a far-detuned lower branch ends below the window, where the column
+        # falls off downward: the nearest n - lo allowed channels carry the total.
+        return range(max(0, top + 1 - (state.n - lo)), top + 1)
+    return range(lo, top + 1)
 
 
 def total_rate(from_state: DressedState, params: ModelParams) -> RateTable:
@@ -245,14 +241,21 @@ def _check_drive_reach(drive_ratio) -> None:
         )
 
 
+def _poisson_window(lam):
+    """``(lo, hi)``, elementwise: forty standard deviations and 20 either side of
+    the mean ``lam``, outside which Poisson(lam) weights sum to less than 2**-54."""
+    spread = 40.0 * np.sqrt(lam + 1.0)
+    return np.maximum(np.floor(lam - spread - 20.0), 0.0), np.ceil(lam + spread + 20.0)
+
+
 def suppression_e0_mesh(coupling_ratio, drive_ratio) -> np.ndarray:
     """:func:`suppression_rate_e0` over broadcast ratio arrays."""
     c, d, shape = _cells(coupling_ratio, drive_ratio)
     _check_drive_reach(d)
     beta = c / (2.0 * d)
     lam = beta * beta
-    # Poisson weights die off well inside this window.
-    n_hi = np.minimum(np.floor(_snapped(1.0 / d)), np.ceil(lam + 40.0 * np.sqrt(lam + 1.0) + 20.0))
+    # The factor (1 - n d)^3 only falls with n, so the Poisson tail bounds the dropped part.
+    n_hi = np.minimum(np.floor(_snapped(1.0 / d)), _poisson_window(lam)[1])
     with np.errstate(divide="ignore", invalid="ignore"):
         log_beta2 = 2.0 * np.log(beta)
 
@@ -363,32 +366,13 @@ _BESSEL_TABLE_ENTRIES = 1 << 20  # J values semiclassical_mesh tabulates at once
 
 def _semiclassical_gamma_g(x, d, p_min, p_hi) -> np.ndarray:
     """gamma_g of cells with Bessel arguments ``x`` and drive ratios ``d``,
-    summed over channels ``p_min .. p_hi`` and then tail blocks of 32."""
-    # One recurrence per cell gives every J through the first tail block.
-    height = int(p_hi.max(initial=0)) + 33
-    table = _bessel_j_orders(np.arange(height)[:, None], x)
+    summed over channels ``p_min .. p_hi`` from one Bessel table per cell."""
+    table = _bessel_j_orders(np.arange(int(p_hi.max(initial=0)) + 1)[:, None], x)
 
     def terms(p, i):
-        k = p.astype(np.int64)
-        j = table[k, i] if k.max(initial=0) < height else _bessel_j_orders(k, x[i])
-        return j**2 * np.maximum(0.0, p * d[i] - 1.0) ** 3
+        return table[p.astype(np.int64), i] ** 2 * np.maximum(0.0, p * d[i] - 1.0) ** 3
 
-    gamma_g = _ordered_sum(terms, p_min, p_hi)
-    # The truncation order already sits past the Bessel turning point;
-    # extend in blocks until the remainder is provably negligible.  J_p(0)
-    # vanishes for every channel p >= 1, so uncoupled cells are done.
-    p_hi = p_hi.copy()
-    todo = np.flatnonzero(x > 0.0)
-    for _ in range(1000):
-        if todo.size == 0:
-            break
-        p_hi[todo] += 32
-        tail = _ordered_sum(lambda p, i: terms(p, todo[i]), p_hi[todo] - 31, p_hi[todo])
-        gamma_g[todo] += tail
-        todo = todo[~(tail <= 1e-14 * np.maximum(gamma_g[todo], 1.0))]
-    for _ in range(todo.size):
-        warnings.warn("semiclassical tail did not converge; result truncated")
-    return gamma_g
+    return _ordered_sum(terms, p_min, p_hi)
 
 
 def semiclassical_mesh(n_bar: float, coupling_ratio, drive_ratio):
@@ -403,9 +387,14 @@ def semiclassical_mesh(n_bar: float, coupling_ratio, drive_ratio):
             f"(MAX_BESSEL_ARG), got {float(x.max())!r}"
         )
     p_min = np.ceil(_snapped(1.0 / d))
-    p_hi = np.maximum(bessel_truncation_order(x), p_min + 8)
+    # Channels past p_hi leave every sum unchanged.  For p + 1 >= x the continued
+    # fraction gives J_{p+1}(x)/J_p(x) <= x / (p + 1 + sqrt((p + 1)^2 - x^2)), at most
+    # 2**-1/2 once p + 1 >= 1.0607 x; so with q = p_hi - 76, term q + 1 + j is below
+    # 2**-j (1 + j)^3 of term q + 1 (the cubed frequency factor grows at most
+    # (1 + j)^3), and past p_hi below 2**-57 of the sum: under half an ulp.
+    p_hi = np.maximum(p_min, np.ceil(1.0607 * x)) + 76
     gamma_g = np.empty(c.size)
-    step = max(1, _BESSEL_TABLE_ENTRIES // (int(p_hi.max(initial=0)) + 33))
+    step = max(1, _BESSEL_TABLE_ENTRIES // (int(p_hi.max(initial=0)) + 1))
     for lo in range(0, c.size, step):
         cells = slice(lo, lo + step)
         gamma_g[cells] = _semiclassical_gamma_g(x[cells], d[cells], p_min[cells], p_hi[cells])

@@ -144,6 +144,15 @@ class TestEmissionSpectrum:
         with pytest.raises(ValueError):
             emission_spectrum([], bin_width=0.0)
 
+    def test_bin_index_past_2_53_is_refused(self):
+        # the only frequency is 1.0; rint(1 / width) must stay an exact integer
+        ens = sample_ensemble(DressedState("e", 0), ModelParams.from_ratios(0.0, 0.5), 1, 5)
+        for width in (1e-300, 2.0**-54, 5e-324):
+            with pytest.raises(ValueError, match="2\\*\\*53"):
+                emission_spectrum(ens, bin_width=width)
+        spec = emission_spectrum(ens, bin_width=2.0**-53)
+        assert spec.bin_centers.tolist() == [1.0] and spec.counts.tolist() == [5]
+
 
 class TestTrajectoryLog:
     def test_file_format_and_round_trip(self, tmp_path):

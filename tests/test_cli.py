@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from polartls import cli
+from polartls import cli, overlaps
 from polartls.cli import AxisSpec, SweepConfig, main, run_sweep
 from polartls.ladder import DressedState, allowed_final_indices
 from polartls.rates import (
@@ -677,6 +677,29 @@ class TestCascadeCommand:
         assert not out.exists()
         assert list(tmp_path.iterdir()) == []
 
+    def test_bin_width_failure_leaves_no_log(self, tmp_path, capsys, monkeypatch):
+        # The spectrum is built before the log is written, so a width it
+        # cannot bin leaves no file.
+        out = tmp_path / "traj.csv"
+        argv = ["cascade", "--branch", "e", "--n", "5", "--omega-a", "0.5", "--omega-l", "0.5",
+                "--seed", "1", "--trajectories", "100", "--output", str(out)]
+        # bin indices near 1e300 are past 2**53 (they overflowed int64 before)
+        assert main([*argv, "--bin-width", "1e-300"]) == 2
+        assert "--bin-width" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+        # 2.5e12 bins would take 18 TiB; the allocation failure is injected
+        bincount = np.bincount
+
+        def no_memory(x, weights=None, minlength=0):
+            if minlength > 1 << 30:
+                raise MemoryError("Unable to allocate 18.2 TiB")
+            return bincount(x, weights, minlength)
+
+        monkeypatch.setattr(np, "bincount", no_memory)
+        assert main([*argv, "--bin-width", "1e-12"]) == 1
+        assert "out of memory" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestExitCodes:
     def test_usage_error_is_2(self):
@@ -800,3 +823,41 @@ class TestLadderIndexLimit:
         assert [row[:2] for row in rows] == [[1e-6, 0.0], [1e-6, 1e-6], [1.0, 0.0], [1.0, 1e-6]]
         for drive, coupling, value in rows:
             assert value == suppression_rate_e0(ModelParams.from_ratios(coupling, drive))
+
+
+class TestColumnSizeLimit:
+    """An overlap column of 2**21 entries or more is refused: each command checks
+    the column of the largest ket it reads and exits 2 before anything is
+    computed or written."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["rate", "--branch", "e", "--n", "0", "--omega-a", "3000", "--omega-l", "1"],
+            ["rate", "--branch", "g", "--n", "0", "--to", "0", "--omega-a", "3000",
+             "--omega-l", "0.25"],
+            ["overlap", "--ell", "0", "--n", "0", "--omega-a", "3000", "--omega-l", "1"],
+            ["cascade", "--branch", "e", "--n", "0", "--omega-a", "3000", "--omega-l", "1",
+             "--seed", "1", "--trajectories", "10"],
+            # beta = 1450: the column of ket 1 is too long while x = 2900 passes the Bessel limit
+            ["sweep", "--quantity", "overlap_compare", "--sqrt-n", "1,1.2,2", "--p-values", "0",
+             "--fix", "omega_a=2900", "--fix", "omega_l=1"],
+        ],
+    )
+    def test_past_the_limit_is_usage_error(self, tmp_path, capsys, monkeypatch, argv):
+        def no_column(*args, **kwargs):
+            raise AssertionError("a column was computed past the size limit")
+
+        monkeypatch.setattr(overlaps, "_column", no_column)
+        monkeypatch.setattr(overlaps, "_cached_column", no_column)
+        extra = ["--output", str(tmp_path / "out")] if argv[0] in ("sweep", "cascade") else []
+        assert main([*argv, *extra]) == 2
+        err = capsys.readouterr().err
+        assert "--omega-a/--omega-l" in err and "past the limit 2097152" in err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_routes_that_read_no_column_run(self, capsys):
+        for argv in (["--same"], ["--method", "bessel", "--ell", "1", "--n", "1"]):
+            args = ["overlap", "--ell", "0", "--n", "0", "--omega-a", "3000", "--omega-l", "1"]
+            assert main([*args, *argv]) == 0, argv
+        assert "|overlap|" in capsys.readouterr().out

@@ -1,10 +1,12 @@
-"""One integer rule for every integer input, and the names the benchmark uses.
+"""One integer rule for every integer input, the names the benchmark uses, and
+no module-level import left unused.
 
 Every integer input goes through ``numerics._checked_int``: a Python or
 numpy integer is accepted, a bool or a float (even an integral one) is a
 ``ValueError``, and the range edges are exact.
 """
 
+import ast
 import importlib
 import types
 from pathlib import Path
@@ -58,6 +60,8 @@ EDGES = {
     "overlap_exact.ell": (10**6, 10**6 + 1),
     "overlap_log_abs.n": (10**6, 10**6 + 1),
     "partial_e0_mesh.n_prime": (10**6, 10**6 + 1),
+    "DressedState.n": (10**6, 10**6 + 1),
+    "PhotonDistribution.key": (10**6, 10**6 + 1),
 }
 
 
@@ -100,3 +104,27 @@ def test_benchmark_names_resolve():
         for name in names:
             assert callable(getattr(module, name, None)), f"{module_name}.{name}"
     _load_bench("layers")
+
+
+def _module_imports(tree):
+    """``(line, bound name)`` of each module-level import but ``__future__``'s."""
+    for node in tree.body:
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", "") != "__future__":
+            for alias in node.names:
+                yield node.lineno, alias.asname or alias.name.split(".")[0]
+
+
+def test_every_module_import_is_used():
+    # Used in its module, exported by __all__, or looked up there by the
+    # benchmark's tracer (bench/inprocess.py WRAPPED): nothing else.
+    wrapped = _load_bench("inprocess").WRAPPED
+    unused = []
+    for path in sorted((Path(__file__).resolve().parent.parent / "src" / "polartls").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in tree.body:
+            if isinstance(node, ast.Assign) and [getattr(t, "id", None) for t in node.targets] == ["__all__"]:
+                used |= set(ast.literal_eval(node.value))
+        used |= set(wrapped.get(f"polartls.{path.stem}", ()))
+        unused += [f"{path.name}:{line} {name}" for line, name in _module_imports(tree) if name not in used]
+    assert unused == []

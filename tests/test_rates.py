@@ -1,7 +1,6 @@
 """Transition rates: partial/total, closed forms, semiclassical, SI scale."""
 
 import math
-import warnings
 from functools import partial
 
 import mpmath as mp
@@ -10,9 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polartls.ladder import DressedState, allowed_final_indices
-from polartls.numerics import bessel_j, bessel_truncation_order
-from polartls.overlaps import ModelParams
+from polartls.ladder import DressedState, allowed_final_indices, photon_frequency
+from polartls.numerics import _bessel_j_orders, bessel_j, bessel_truncation_order
+from polartls.overlaps import ModelParams, _overlap_column
 from polartls import rates
 from polartls.rates import (
     DEBYE,
@@ -124,6 +123,53 @@ class TestTotalRate:
         assert table.total_over_gamma0 == 0.0
         assert table.transitions == ()
 
+    def test_tables_hold_every_allowed_channel(self):
+        # Both tables once stopped at n + 20 beta^2 + 60, inside the column's
+        # band, and missed 2.4% and 0.94% of these totals.
+        p = ModelParams.from_ratios(0.009000735, 0.0046642481266060635)
+        state = DressedState("e", 3987)
+        every = math.fsum(partial_rate(state, k, p) for k in allowed_final_indices(state, p))
+        assert total_rate(state, p).total_over_gamma0 == every
+
+        # 100,201 channels: one kernel call reads each from the same column
+        # block as partial_rate does (checked on a stride), bit for bit.
+        p = ModelParams.from_ratios(0.003, 0.005)
+        state = DressedState("e", 100_000)
+        allowed = allowed_final_indices(state, p)
+        log_abs = _overlap_column(allowed, state.n, p.beta)[0].tolist()
+        every = [rates._channel_rate(ln, photon_frequency(state, k, p)) for k, ln in zip(allowed, log_abs)]
+        for k in range(0, len(allowed), 4999):
+            assert every[k] == partial_rate(state, k, p)
+        assert total_rate(state, p).total_over_gamma0 == math.fsum(every)
+
+    @given(
+        branch=st.sampled_from("eg"),
+        n=st.floats(0.0, 5.0).map(lambda e: round(10.0**e) - 1),
+        beta=st.floats(-3.0, math.log10(30.0)).map(lambda e: 10.0**e),
+        drive=st.floats(-3.0, math.log10(2.0)).map(lambda e: 10.0**e),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_next_channel_past_each_end_is_negligible(self, branch, n, beta, drive):
+        # A normal total: the table's own, or the undriven excited total 1.
+        p = ModelParams.from_ratios(2.0 * beta * drive, drive)
+        state = DressedState(branch, n)
+        table = total_rate(state, p)
+        allowed = allowed_final_indices(state, p)
+        assert len(table.transitions) == 0 if len(allowed) == 0 else len(table.transitions) > 0
+        if table.transitions:
+            normal = max(table.total_over_gamma0, 1.0)
+            for k in (table.transitions[0].final.n - 1, table.transitions[-1].final.n + 1):
+                if k in allowed:
+                    assert partial_rate(state, k, p) < 2.0**-54 * normal
+
+    def test_channels_past_the_ladder_index_limit_are_refused(self):
+        p = ModelParams.from_ratios(0.0008, 0.002)
+        with pytest.raises(ValueError, match="past the limit 1000000"):
+            total_rate(DressedState("e", 10**6), p)
+        with pytest.raises(ValueError):
+            DressedState("e", 3_000_000)
+        assert total_rate(DressedState("g", 10**6), p).transitions[-1].final.n == 10**6 - 500
+
     def test_large_index_window(self):
         # the candidate window must capture essentially all the weight
         p = ModelParams.from_ratios(0.2, 0.9)
@@ -223,6 +269,27 @@ class TestPhotonDistribution:
             PhotonDistribution({0: 0.5})  # not normalized
         with pytest.raises(ValueError):
             PhotonDistribution({-1: 1.0})
+
+    @pytest.mark.parametrize("lam", [1e-6, 0.3, 1.0, 17.3, 400.0, 1e4, 9.5e5])
+    def test_poisson_window_tail(self, lam):
+        # Past hi each weight ratio is lam/(k+1) <= lam/(hi+2), below lo it is
+        # k/lam <= (lo-1)/lam: geometric bounds on both tails.
+        lo, hi = map(int, rates._poisson_window(lam))
+        with mp.workdps(30):
+            def pmf(k):
+                return mp.exp(k * mp.log(lam) - lam - mp.loggamma(k + 1))
+
+            tail = pmf(hi + 1) / (1 - lam / mp.mpf(hi + 2))
+            if lo > 0:
+                tail += pmf(lo - 1) / (1 - (lo - 1) / mp.mpf(lam))
+            assert tail < mp.mpf(2) ** -54
+
+    def test_poisson_window_stays_below_the_ladder_index_limit(self):
+        weights = PhotonDistribution.poisson(9.5e5).weights
+        assert max(weights) <= 10**6
+        for mean in (1e6, 1e7, math.inf, -1.0):
+            with pytest.raises(ValueError):
+                PhotonDistribution.poisson(mean)
 
 
 class TestWeightedTotal:
@@ -428,19 +495,35 @@ class TestMeshKernels:
         for old, new in zip(before, after):
             assert np.array_equal(old, new)
 
-    def test_semiclassical_warns_once_per_unconverged_point(self, monkeypatch):
-        # Bessel values that never decay keep every tail block large.
-        monkeypatch.setattr(
-            rates, "_bessel_j_orders", lambda p, x: np.ones(np.broadcast(p, x).shape)
-        )
-        couplings, drives = np.array([0.0, 1e-3, 2e-3]), np.array([0.5, 1.5])
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            semiclassical_mesh(100.0, couplings[None, :], drives[:, None])
-            assert len(caught) == 4  # every coupled cell; uncoupled cells converge
-            semiclassical_totals(100.0, ModelParams.from_ratios(1e-3, 0.5))
-            assert len(caught) == 5
-        assert all("did not converge" in str(w.message) for w in caught)
+    @staticmethod
+    def sequential_gamma_g(n_bar, c, d):
+        """gamma_g summed one channel at a time, far past the kernel's last channel."""
+        x = c * math.sqrt(round(n_bar)) / d
+        end = max(bessel_truncation_order(x) + 200, math.ceil(1.0 / d) + 300)
+        p = np.arange(1, end + 1, dtype=float)  # below the floor the factor is 0
+        terms = _bessel_j_orders(p.astype(np.int64), x) ** 2 * np.maximum(0.0, p * d - 1.0) ** 3
+        total = 0.0
+        for term in terms.tolist():
+            total += term
+        return total
+
+    def test_semiclassical_equals_a_long_sequential_sum(self):
+        # 0.00594 at drive 1e-3 is x = 594 at n_bar = 1e4, where a floor of
+        # p_min + 8 and tail blocks of 32 missed the last bit
+        couplings = np.array([0.0, 1e-6, 1e-4, 3e-3, 0.00594, 0.02, 0.09])
+        drives = np.concatenate([[1e-3, 1e-3 + 1e-12, 0.0123], MESH_DRIVES])
+        for n_bar in (1.0, 1e4):
+            gamma_g = semiclassical_mesh(n_bar, couplings[None, :], drives[:, None])[1]
+            for (i, j), value in np.ndenumerate(gamma_g):
+                want = self.sequential_gamma_g(n_bar, float(couplings[j]), float(drives[i]))
+                assert value == want, (n_bar, couplings[j], drives[i])
+
+    @given(x=st.floats(0.0, 3000.0), drive=st.floats(1e-3, 3.0))
+    @settings(max_examples=60, deadline=None)
+    def test_semiclassical_sum_is_complete(self, x, drive):
+        coupling = x * drive / 100.0  # n_bar = 1e4
+        value = semiclassical_mesh(1e4, coupling, drive)[1]
+        assert value == self.sequential_gamma_g(1e4, coupling, drive)
 
     def test_validation(self):
         with pytest.raises(ValueError):
