@@ -4,7 +4,8 @@ A trajectory starts in one dressed state and hops between the branches,
 waiting an exponential time set by the current state's total rate and
 choosing the next level in proportion to the partial rates, until it
 reaches a dark state (or a jump cap).  Times are in units of
-``1/gamma0``.
+``1/gamma0``.  Jumps read the states' rate tables as columns; transition
+records are built only when a :class:`Trajectory` is asked for.
 
 All trajectories of an ensemble advance in lockstep, one jump per numpy
 step.  The random stream is versioned as ``philox4x64-inv-v2``
@@ -20,11 +21,7 @@ library; word 1 gives ``v = (w1 >> 11) * 2**-53``, which picks the
 channel from the state's normalized cumulative rates.  Trajectory ``i``
 therefore depends only on ``(seed, i)``: it is the same bits whatever
 the ensemble size, and :func:`sample_trajectory` with ``stream=i``
-reproduces it alone.  There is no thread pool: the ``threads`` argument
-of :func:`sample_ensemble` (and ``cascade --threads``) is accepted and
-ignored.  Version 2 replaced the per-trajectory keys ``(s, i)`` of
-``philox4x64-inv-v1``, so a given seed yields different bits than
-before it, with the same statistics.
+reproduces it alone.
 """
 
 from __future__ import annotations
@@ -40,7 +37,7 @@ import numpy as np
 from .ladder import DressedState, TransitionRecord
 from .numerics import _checked_int
 from .overlaps import ModelParams
-from .rates import total_rate
+from .rates import RateTable, total_rate
 
 __all__ = [
     "RNG_SCHEME",
@@ -100,25 +97,25 @@ class SpectrumHistogram:
         return 0.5 * (self.bin_edges[:-1] + self.bin_edges[1:])
 
 
-@dataclass(frozen=True)
-class _JumpKernel:
+@dataclass(frozen=True, eq=False)
+class _JumpKernel:  # the table's channels of nonzero rate: positions, sum, normalized cumsum
+    table: RateTable
+    live: np.ndarray
     total: float
-    records: tuple[TransitionRecord, ...]
-    cumulative: np.ndarray = field(compare=False)
+    cumulative: np.ndarray
 
 
 @lru_cache(maxsize=4096)
 def _jump_kernel(state: DressedState, params: ModelParams) -> _JumpKernel:
     table = total_rate(state, params)
-    live = tuple(t for t in table.transitions if t.rate_over_gamma0 > 0.0)
-    if not live:
-        return _JumpKernel(0.0, (), np.empty(0))
-    rates = np.array([t.rate_over_gamma0 for t in live])
-    cumulative = np.cumsum(rates)
+    live = np.flatnonzero(table.rate_over_gamma0 > 0.0)
+    if not live.size:
+        return _JumpKernel(table, live, 0.0, np.empty(0))
+    cumulative = np.cumsum(table.rate_over_gamma0[live])
     total = float(cumulative[-1])
     cumulative /= total
     cumulative[-1] = 1.0
-    return _JumpKernel(total, live, cumulative)
+    return _JumpKernel(table, live, total, cumulative)
 
 
 @dataclass(frozen=True, eq=False)
@@ -130,7 +127,8 @@ class Ensemble(Sequence):
     index.  ``from_state`` and ``to_state`` index ``states``, and
     ``channel`` indexes the live channels of the ``from_state`` jump
     kernel.  ``truncated`` has one entry per trajectory.  Indexing
-    builds a :class:`Trajectory` on demand (its stream is
+    builds a :class:`Trajectory`, with records from the rate tables, on
+    demand (its stream is
     ``first_stream + i``; a slice gives a list); two ensembles compare
     equal when they are equal trajectory by trajectory.
     """
@@ -157,14 +155,10 @@ class Ensemble(Sequence):
             return [self[i] for i in range(len(self))[index]]
         i = range(len(self))[index]
         lo, hi = int(self.row_start[i]), int(self.row_start[i + 1])
-        jumps = tuple(
-            (t, self.kernels[f].records[c])
-            for t, f, c in zip(
-                self.time[lo:hi].tolist(),
-                self.from_state[lo:hi].tolist(),
-                self.channel[lo:hi].tolist(),
-            )
-        )
+        rows = zip(self.time[lo:hi].tolist(), self.from_state[lo:hi].tolist(),
+                   self.channel[lo:hi].tolist())
+        kernels = self.kernels
+        jumps = tuple((t, kernels[f].table.transitions[kernels[f].live[c]]) for t, f, c in rows)
         return Trajectory(
             seed=self.seed,
             stream=self.first_stream + i,
@@ -186,18 +180,15 @@ class Ensemble(Sequence):
         return np.diff(self.row_start)
 
     def _flat_channel(self) -> np.ndarray:
-        """Per row, the index of its channel among all kernels' records."""
-        sizes = [len(kernel.records) for kernel in self.kernels]
+        """Per row, the index of its channel among all kernels' live channels."""
+        sizes = [kernel.live.size for kernel in self.kernels]
         offsets = np.concatenate(([0], np.cumsum(sizes[:-1], dtype=np.int64)))
         return offsets[self.from_state] + self.channel
 
     @property
     def photon_freq(self) -> np.ndarray:
         """Frequency of the photon emitted in each jump."""
-        freqs = np.array(
-            [rec.photon_freq for kernel in self.kernels for rec in kernel.records],
-            dtype=float,
-        )
+        freqs = np.concatenate([kernel.table.photon_freq[kernel.live] for kernel in self.kernels])
         return freqs[self._flat_channel()]
 
 
@@ -225,17 +216,18 @@ class _RateGraph:
             self.states.append(state)
             self.kernels.append(kernel)
             self.totals.append(kernel.total)
-            self.targets.append(np.full(len(kernel.records), -1, dtype=np.int64))
+            self.targets.append(np.full(kernel.live.size, -1, dtype=np.int64))
         return sid
 
     def jump(self, sid: int, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Channels that uniforms ``v`` pick in state ``sid``, and their targets."""
         kernel = self.kernels[sid]
         channel = np.searchsorted(kernel.cumulative, v, side="right")
-        np.minimum(channel, len(kernel.records) - 1, out=channel)
+        np.minimum(channel, kernel.live.size - 1, out=channel)
         targets = self.targets[sid]
+        table = kernel.table
         for c in np.unique(channel[targets[channel] < 0]).tolist():
-            targets[c] = self.number(kernel.records[c].final)
+            targets[c] = self.number(DressedState(table.final_branch, table.final_n[kernel.live[c]]))
         return channel, targets[channel]
 
 
@@ -367,7 +359,7 @@ def emission_spectrum(trajectories, bin_width: float) -> SpectrumHistogram:
     """Histogram of all emitted photon frequencies, normalized to count 1.
 
     Bin ``k`` is centered on ``k * bin_width``.  Frequencies are in the
-    units carried by the transition records (the bare transition
+    units of the rate tables' ``photon_freq`` (the bare transition
     frequency for tables built by this package).  ``trajectories`` is an
     :class:`Ensemble` or any iterable of :class:`Trajectory`.
     """
@@ -412,10 +404,10 @@ def _log_chunks(ensemble: Ensemble, delimiter: str):
     )
     # Everything after the time depends only on the (state, channel) pair.
     tails = _text.str_cells(
-        delimiter.join((rec.initial.branch, str(rec.initial.n), rec.final.branch,
-                        str(rec.final.n), repr(rec.photon_freq)))
+        delimiter.join((kernel.table.initial.branch, str(kernel.table.initial.n),
+                        kernel.table.final_branch, str(kernel.table.final_n[k]), repr(freq)))
         for kernel in ensemble.kernels
-        for rec in kernel.records
+        for k, freq in zip(kernel.live.tolist(), kernel.table.photon_freq[kernel.live].tolist())
     )
     flat = ensemble._flat_channel()
     for lo in range(0, flat.size, _LOG_CHUNK_ROWS):

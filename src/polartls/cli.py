@@ -39,10 +39,10 @@ from .cascade import RNG_SCHEME, emission_spectrum, sample_ensemble, write_traje
 from .cascade import _MAX_SEED, _write_atomically
 from .ladder import DressedState, allowed_final_indices
 from .numerics import MAX_BESSEL_ARG, _checked_int
-from .overlaps import MAX_LADDER_INDEX, ModelParams, _check_span, _checked_index, _core_window
+from .overlaps import MAX_LADDER_INDEX, ModelParams, _checked_index, _column_blocks
 from .overlaps import overlap_bessel, overlap_exact
 from .rates import DEBYE, Gamma0Params, _check_drive_reach, _rounded_index, gamma0_si, partial_rate
-from .rates import total_rate
+from .rates import _candidate_final_indices, total_rate
 from .rates import absorption_g1_mesh, partial_e0_mesh, semiclassical_mesh, suppression_e0_mesh
 from .rates import semiclassical_totals
 from .rates import absorption_rate_g1, suppression_rate_e0  # noqa: F401 (for bench WRAPPED)
@@ -174,10 +174,10 @@ def _check_bessel_arg(x: float, what: str) -> None:
         )
 
 
-def _check_column(n: int, params: ModelParams) -> None:
-    """The overlap column of ket ``n``, the largest a command reads, must fit the
-    kernel's size limit; checked before anything is computed or written."""
-    _usage(_check_span, "--omega-a/--omega-l", n, params.beta, *_core_window(n, params.beta))
+def _check_column(n: int, params: ModelParams, *ells: int) -> None:
+    """The window of ket ``n``'s overlap column, and the blocks that reading ``ells``
+    stretches it to, must fit the size limit; checked before anything is computed."""
+    _usage(_column_blocks, "--omega-a/--omega-l", np.array([n, *ells]), n, params.beta)
 
 
 def _grid_blocks(config: SweepConfig):
@@ -262,7 +262,8 @@ def _overlap_compare_blocks(config: SweepConfig):
                 )
             _check_bessel_arg(coupling * math.sqrt(n) / drive, "omega_a sqrt(n) / omega_l")
             points.append((float(sqrt_n), n, p))
-    _check_column(max(n - p for _, n, p in points), params)  # overlap_exact(n, n - p) reads ket n - p
+    for _, n, p in points:
+        _check_column(n - p, params, n)  # overlap_exact(n, n - p) reads ket n - p at n
 
     columns = ["sqrt_n", "p", "exact_sq", "bessel_sq"]
 
@@ -459,34 +460,27 @@ def _state_from_args(args, params: ModelParams) -> DressedState:
     finals = allowed_final_indices(state, params)
     reach = max(state.n, finals[-1] if finals else 0)
     if reach > MAX_LADDER_INDEX:
-        raise _UsageError(
-            f"({state.branch},{state.n}) at --omega-l {args.omega_l:g} reaches "
-            f"ladder index {reach}, past the limit {MAX_LADDER_INDEX}; "
-            "raise --omega-l or lower --n"
-        )
+        raise _UsageError(f"({state.branch},{state.n}) at --omega-l {args.omega_l:g} reaches "
+                          f"ladder index {reach}, past the limit {MAX_LADDER_INDEX}; "
+                          "raise --omega-l or lower --n")
     _check_column(reach, params)
+    channels = _candidate_final_indices(state, params)  # a far-detuned (g,n) reads off its window
+    _check_column(state.n, params, *channels[:1], *channels[-1:])
     return state
 
 
 def _cmd_rate(args) -> int:
     params = _params_from_args(args)
     state = _state_from_args(args, params)
-    if args.to is not None:
-        if args.to not in allowed_final_indices(state, params):
-            raise _UsageError(
-                f"final index {args.to} is not reachable from "
-                f"({state.branch},{state.n}) at omega_l={args.omega_l:g}"
-            )
-        value = partial_rate(state, args.to, params)
+    if args.to is not None:  # partial_rate refuses a final index out of reach before computing
+        value = _usage(partial_rate, "--to", state, args.to, params)
         print(f"rate[({state.branch},{state.n}) -> {args.to}] = {value:.12g}  (gamma0 units)")
         return 0
     table = total_rate(state, params)
-    for record in table.transitions:
-        print(
-            f"-> ({record.final.branch},{record.final.n})  "
-            f"rate = {record.rate_over_gamma0:.12g}  "
-            f"photon_freq = {record.photon_freq:.12g}  (omega0 units)"
-        )
+    rows = zip(table.final_n, table.rate_over_gamma0.tolist(), table.photon_freq.tolist())
+    for n_prime, rate, freq in rows:
+        print(f"-> ({table.final_branch},{n_prime})  rate = {rate:.12g}  "
+              f"photon_freq = {freq:.12g}  (omega0 units)")
     print(f"total[({state.branch},{state.n})] = {table.total_over_gamma0:.12g}  (gamma0 units)")
     return 0
 
@@ -509,7 +503,7 @@ def _cmd_overlap(args) -> int:
         )
     else:
         if not args.same:
-            _check_column(args.n, params)
+            _check_column(args.n, params, args.ell)
         ket_sign = bra_sign if args.same else None
         value = overlap_exact(args.ell, args.n, params, bra_sign, ket_sign)
     print(f"|overlap|   = {value.magnitude:.12g}")

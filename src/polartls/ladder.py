@@ -95,11 +95,8 @@ def _snapped(limit):
     """``limit`` moved onto the nearest integer when within ``_BOUNDARY_SNAP``
     of it (relative, floor 1); elementwise on arrays, a float for scalars."""
     if isinstance(limit, float):  # the same arithmetic without numpy's per-call cost
-        if not math.isfinite(limit):
-            return limit
-        nearest = math.copysign(round(limit), limit)  # half to even and signed, as np.rint
-        near = abs(limit - nearest) <= _BOUNDARY_SNAP * max(1.0, abs(limit))
-        return nearest if near else limit
+        nearest = math.copysign(round(limit), limit) if math.isfinite(limit) else limit  # as np.rint
+        return nearest if abs(limit - nearest) <= _BOUNDARY_SNAP * max(1.0, abs(limit)) else limit
     nearest = np.rint(limit)
     near = np.abs(limit - nearest) <= _BOUNDARY_SNAP * np.maximum(1.0, np.abs(limit))
     snapped = np.where(near, nearest, limit)
@@ -122,26 +119,22 @@ def allowed_final_indices(state: DressedState, params: ModelParams) -> range:
     return range(0, upper + 1)
 
 
-def photon_frequency(state: DressedState, to_index: int, params: ModelParams) -> float:
-    """Frequency of the photon emitted in ``state -> (other branch, to_index)``.
+def _photon_frequencies(state: DressedState, finals, params: ModelParams):
+    """:func:`photon_frequency` at allowed final indices, an int array or one int."""
+    final_energy = -state.sign * params.omega0 / 2.0 + finals * params.omega_drive
+    freq = dressed_energy(state, params) - final_energy
+    # A snapped integer boundary is exactly zero, which rounding may put barely below.
+    scale = params.omega0 + (state.n + finals + 1) * params.omega_drive
+    if np.any(freq < -_BOUNDARY_SNAP * scale):
+        raise ValueError(f"negative photon frequency {np.min(freq)!r}; inconsistent inputs")
+    return np.maximum(freq, 0.0)
 
-    Computed as the dressed-energy difference, so energy bookkeeping is
-    bit-exact against :func:`dressed_energy`.  Units follow ``params``.
-    """
+
+def photon_frequency(state: DressedState, to_index: int, params: ModelParams) -> float:
+    """Frequency of the photon emitted in ``state -> (other branch, to_index)``, in the
+    units of ``params``: the dressed-energy difference, bit-exact against :func:`dressed_energy`."""
     to_index = _checked_int(to_index, "to_index")
     if to_index not in allowed_final_indices(state, params):
-        raise ValueError(
-            f"to_index={to_index} is not an allowed final index for "
-            f"({state.branch},{state.n}) at omega0/omega_drive="
-            f"{params.omega0 / params.omega_drive:g}"
-        )
-    final = DressedState("g" if state.branch == "e" else "e", to_index)
-    freq = dressed_energy(state, params) - dressed_energy(final, params)
-    if freq < 0.0:
-        # Only reachable for a snapped integer boundary, where the exact
-        # value is zero and floating-point noise may land barely below it.
-        scale = params.omega0 + (state.n + to_index + 1) * params.omega_drive
-        if freq >= -_BOUNDARY_SNAP * scale:
-            return 0.0
-        raise ValueError(f"negative photon frequency {freq!r}; inconsistent inputs")
-    return freq
+        raise ValueError(f"to_index={to_index} is not an allowed final index for ({state.branch},"
+                         f"{state.n}) at omega0/omega_drive={params.omega0 / params.omega_drive:g}")
+    return float(_photon_frequencies(state, to_index, params))

@@ -206,13 +206,6 @@ def _leg_start(edge: int, step: int, n: int, beta: float) -> int:
     return max(0, edge + step * (math.ceil(21.0 / math.acosh(c)) + 1))
 
 
-def _check_span(n: int, beta: float, lo: int, hi: int) -> None:
-    """Refuse a column of ket ``n`` over ``lo .. hi`` of _MAX_COLUMN entries or more."""
-    if hi - lo >= _MAX_COLUMN:
-        raise ValueError(f"the overlap column of ket {n} at beta={beta:g} spans {hi - lo + 1} "
-                         f"entries, past the limit {_MAX_COLUMN}")
-
-
 def _column(n: int, beta: float, lo: int, hi: int):
     """``(frac, exp)`` of the column of ket ``n``, ``g = frac 2**exp``, over ``lo .. hi``.
 
@@ -224,7 +217,6 @@ def _column(n: int, beta: float, lo: int, hi: int):
     column is normalized to ``sum g^2 = 1`` (a column of a unitary matrix)
     and signed by ``g[m] ~ (-1)^m`` below the band.  No factorial enters.
     """
-    _check_span(n, beta, lo, hi)
 
     def leg(first, last, seed):  # increasing index order, from seed at first and 0 before it
         step = 1 if last >= first else -1
@@ -264,6 +256,24 @@ def _core_window(n: int, beta: float) -> tuple[int, int]:
     return max(0, n - below), n + below + math.ceil(beta * beta + 40.0 * beta)
 
 
+def _column_blocks(ells: np.ndarray, n: int, beta: float):
+    """``(first, last)`` per index of ``ells``: the block of the column of ket ``n``
+    that :func:`_overlap_column` computes to read it, the window stretched on the
+    index's side by ``2**k - 1`` widths for the least ``k`` that reaches it (cut at 0),
+    so reading every index up to a distance d costs O(d).  Refuses _MAX_COLUMN entries."""
+    lo, hi = _core_window(n, beta)
+    width = hi - lo + 1
+    widths = np.maximum(0, -(-np.maximum(lo - ells, ells - hi) // width))  # whole widths off
+    stretch = ((1 << np.frexp(widths)[1].astype(np.int64)) - 1) * width  # frexp: 2**k > widths
+    first = np.where(ells < lo, np.maximum(0, lo - stretch), lo)
+    last = np.where(ells > hi, hi + stretch, hi)
+    span = int((last - first).max(initial=0)) + 1
+    if span > _MAX_COLUMN:
+        raise ValueError(f"the overlap column of ket {n} at beta={beta:g} spans {span} entries, "
+                         f"past the limit {_MAX_COLUMN}")
+    return first, last
+
+
 def _overlap_column(ells, n: int, beta: float):
     """``(ln|g|, sign g)`` at the indices ``ells`` of the column of ket ``n``: the
     one kernel behind every exact overlap and rate.
@@ -280,10 +290,8 @@ def _overlap_column(ells, n: int, beta: float):
     ``(-1)^min(m,n) beta^|m-n| sqrt(max!/min!) / |m-n|!``, off by less than
     1e-18 relative; beta = 0 gives the exact Kronecker delta.
 
-    *Cost.*  About 1 us an entry for the column over :func:`_core_window`,
-    0.15-1 ms for 130-3000 entries.  An index off that window reads the
-    column stretched by whole window widths until it is reached, built once
-    per block asked for: O(distance), 0.3 s for 0 at n = 10**6.
+    *Cost.*  About 1 us an entry, 0.15-1 ms for a window of 130-3000; an index off the
+    window reads the block :func:`_column_blocks` gives (0.3 s for 0 at n = 10**6).
     """
     ells = np.asarray(ells, dtype=np.int64)
     if beta < _TINY_BETA:
@@ -293,10 +301,7 @@ def _overlap_column(ells, n: int, beta: float):
             log_abs = np.where(d == 0, 0.0, d * np.log(beta)) - _ln_factorial(d)
         log_abs += 0.5 * (_ln_factorial(high) - _ln_factorial(low))
         return log_abs, np.where(log_abs == _NEG_INF, 0, 1 - 2 * (low % 2)).astype(np.int8)
-    lo, hi = _core_window(n, beta)
-    width = hi - lo + 1
-    first = np.where(ells < lo, np.maximum(0, lo + (ells - lo) // width * width), lo)
-    last = np.where(ells > hi, hi - (hi - ells) // width * width, hi)
+    first, last = _column_blocks(ells, n, beta)
     frac, exp = np.empty(ells.shape), np.empty(ells.shape, np.int64)
     for start, stop in sorted(set(zip(first.tolist(), last.tolist()))):
         pick = (first == start) & (last == stop)

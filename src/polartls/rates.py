@@ -11,13 +11,14 @@ large-index semiclassical limit, where overlaps become Bessel functions.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Mapping, NamedTuple
 
 import numpy as np
 
-from .ladder import DressedState, TransitionRecord, _snapped
+from .ladder import DressedState, TransitionRecord, _photon_frequencies, _snapped
 from .ladder import allowed_final_indices, photon_frequency
 from .numerics import MAX_BESSEL_ARG, MAX_LADDER_INDEX, _bessel_j_orders, _checked_int, _ln_factorial
 from .numerics import bessel_j, bessel_truncation_order  # noqa: F401 (the latter for bench WRAPPED)
@@ -54,23 +55,40 @@ SPEED_OF_LIGHT = 299792458.0  # m / s (exact)
 DEBYE = 3.335640951981521e-30  # C m (1e-21 / c, exact definition)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RateTable:
-    """All spontaneous transitions out of one dressed state.
-
-    ``transitions`` are ordered by final index; ``total_over_gamma0`` is
-    their compensated sum and is checked against the listed partials at
-    construction.
-    """
+    """All spontaneous transitions out of one dressed state, as columns: channel ``k``
+    goes to ``(final_branch, final_n[k])`` at ``rate_over_gamma0[k]``, emitting
+    ``photon_freq[k]`` (omega0 units).  Construction checks every entry finite and
+    >= 0 and ``total_over_gamma0`` against their compensated sum, then makes the
+    columns read-only."""
 
     initial: DressedState
-    transitions: tuple[TransitionRecord, ...]
+    final_n: range
+    rate_over_gamma0: np.ndarray
+    photon_freq: np.ndarray
     total_over_gamma0: float
 
     def __post_init__(self):
-        resummed = math.fsum(t.rate_over_gamma0 for t in self.transitions)
+        for column in (self.rate_over_gamma0, self.photon_freq):
+            if not np.all((column >= 0.0) & (column < math.inf)):
+                raise ValueError("every rate and photon frequency must be finite and >= 0")
+            column.flags.writeable = False
+        resummed = math.fsum(self.rate_over_gamma0.tolist())
         if abs(resummed - self.total_over_gamma0) > 1e-14 * max(resummed, 1e-300):
             raise ValueError("total_over_gamma0 does not match the listed partials")
+
+    @property
+    def final_branch(self) -> str:
+        """The branch every channel lands on."""
+        return "g" if self.initial.branch == "e" else "e"
+
+    @functools.cached_property
+    def transitions(self) -> tuple[TransitionRecord, ...]:
+        """The channels as :class:`TransitionRecord` objects, built on first use."""
+        rows = zip(self.final_n, self.rate_over_gamma0.tolist(), self.photon_freq.tolist())
+        return tuple(TransitionRecord(self.initial, DressedState(self.final_branch, n), rate, freq)
+                     for n, rate, freq in rows)
 
 
 @dataclass(frozen=True)
@@ -174,19 +192,16 @@ def _candidate_final_indices(state: DressedState, params: ModelParams) -> range:
 def total_rate(from_state: DressedState, params: ModelParams) -> RateTable:
     """Total spontaneous rate out of a dressed state, with its channel table.
 
-    One overlap column of the decaying state serves every channel; each
-    record equals :func:`partial_rate` for its channel bit for bit.
+    One overlap column and one array of photon frequencies serve every channel,
+    and no per-channel object is built; each rate is :func:`partial_rate`'s, bit for bit.
     """
-    final = "g" if from_state.branch == "e" else "e"
     channels = _candidate_final_indices(from_state, params)
-    log_abs, _ = _overlap_column(channels, from_state.n, params.beta)
-    records = []
-    for n_prime, ln in zip(channels, log_abs.tolist()):
-        freq = photon_frequency(from_state, n_prime, params) / params.omega0
-        rate = _channel_rate(ln, freq)
-        records.append(TransitionRecord(from_state, DressedState(final, n_prime), rate, freq))
-    total = math.fsum(r.rate_over_gamma0 for r in records)
-    return RateTable(initial=from_state, transitions=tuple(records), total_over_gamma0=total)
+    finals = np.arange(channels.start, channels.stop)
+    log_abs, _ = _overlap_column(finals, from_state.n, params.beta)
+    freqs = _photon_frequencies(from_state, finals, params) / params.omega0
+    # libm exp and a float cube per channel, as partial_rate rounds them
+    rates = np.fromiter(map(_channel_rate, log_abs.tolist(), freqs.tolist()), float, len(finals))
+    return RateTable(from_state, channels, rates, freqs, math.fsum(rates.tolist()))
 
 
 # The *_mesh kernels take coupling_abs/omega0 and omega_drive/omega0 arrays

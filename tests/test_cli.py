@@ -2,8 +2,10 @@
 
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -741,6 +743,8 @@ class TestExitCodes:
 
     def test_subprocess_entry_point(self, tmp_path):
         out = tmp_path / "s.csv"
+        package_root = str(Path(cli.__file__).resolve().parent.parent)
+        path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
         proc = subprocess.run(
             [
                 sys.executable, "-m", "polartls",
@@ -752,6 +756,7 @@ class TestExitCodes:
             ],
             capture_output=True,
             text=True,
+            env={**os.environ, "PYTHONPATH": path},
         )
         assert proc.returncode == 0
         assert out.exists()
@@ -827,8 +832,9 @@ class TestLadderIndexLimit:
 
 class TestColumnSizeLimit:
     """An overlap column of 2**21 entries or more is refused: each command checks
-    the column of the largest ket it reads and exits 2 before anything is
-    computed or written."""
+    the column of the largest ket it reads, and the blocks that its reads off a
+    column's window stretch it to, and exits 2 before anything is computed or
+    written."""
 
     @pytest.mark.parametrize(
         "argv",
@@ -842,6 +848,10 @@ class TestColumnSizeLimit:
             # beta = 1450: the column of ket 1 is too long while x = 2900 passes the Bessel limit
             ["sweep", "--quantity", "overlap_compare", "--sqrt-n", "1,1.2,2", "--p-values", "0",
              "--fix", "omega_a=2900", "--fix", "omega_l=1"],
+            # beta = 445: the window of ket 10**6 fits, the block that reading 0 builds does not
+            ["overlap", "--ell", "0", "--n", "1000000", "--omega-a", "890", "--omega-l", "1"],
+            # the one channel of this far-detuned lower level, 0, is read from that block too
+            ["rate", "--branch", "g", "--n", "1000000", "--omega-a", "0.00089", "--omega-l", "1e-6"],
         ],
     )
     def test_past_the_limit_is_usage_error(self, tmp_path, capsys, monkeypatch, argv):

@@ -369,7 +369,7 @@ class TestOverlapColumn:
     def test_value_does_not_depend_on_the_request(self, monkeypatch):
         # a far-detuned lower level: every listed channel lies below the
         # column's window, and all of them are read from at most two
-        # columns stretched down by whole window widths
+        # columns stretched down by doubling window widths
         p = ModelParams.from_ratios(0.002, 0.005)
         state = DressedState("g", 300)
         lo, hi = overlaps._core_window(300, p.beta)

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polartls.ladder import DressedState, allowed_final_indices, photon_frequency
+from polartls.ladder import DressedState, TransitionRecord, allowed_final_indices, photon_frequency
 from polartls.numerics import _bessel_j_orders, bessel_j, bessel_truncation_order
 from polartls.overlaps import ModelParams, _overlap_column
 from polartls import rates
@@ -106,16 +106,39 @@ class TestTotalRate:
 
     @pytest.mark.parametrize(
         "branch, n, coupling, drive",
-        [("e", 5, 0.5, 0.5), ("e", 40, 2.0, 1.6), ("g", 30, 1.0, 0.5), ("e", 200, 1.0, 0.5)],
+        [
+            ("e", 5, 0.5, 0.5),
+            ("e", 40, 2.0, 1.6),
+            ("g", 30, 1.0, 0.5),
+            ("e", 200, 1.0, 0.5),
+            # the boundary channel 19 lands at -2.2e-16 and is snapped to 0
+            ("e", 9, 0.3, 0.1),
+        ],
     )
     def test_records_are_partial_rates(self, branch, n, coupling, drive):
-        # one channel-rate formula: each record is partial_rate, bit for bit
+        # one channel-rate formula and one photon-frequency rule: each column
+        # entry is partial_rate and photon_frequency, bit for bit
         p = ModelParams.from_ratios(coupling, drive)
         state = DressedState(branch, n)
         table = total_rate(state, p)
-        assert table.transitions
-        for rec in table.transitions:
-            assert rec.rate_over_gamma0 == partial_rate(state, rec.final.n, p)
+        assert len(table.final_n) > 0
+        for k, n_prime in enumerate(table.final_n):
+            assert table.rate_over_gamma0[k] == partial_rate(state, n_prime, p)
+            assert table.photon_freq[k] == photon_frequency(state, n_prime, p) / p.omega0
+        # the records, built on demand once, hold the same columns
+        assert table.transitions is table.transitions
+        assert [(r.initial, r.final, r.rate_over_gamma0, r.photon_freq) for r in table.transitions] == [
+            (state, DressedState(table.final_branch, n_prime), rate, freq)
+            for n_prime, rate, freq in zip(table.final_n, table.rate_over_gamma0, table.photon_freq)
+        ]
+        assert table.final_branch != branch
+
+    def test_building_a_table_builds_no_record(self, monkeypatch):
+        built = []
+        monkeypatch.setattr(TransitionRecord, "__post_init__", lambda rec: built.append(rec))
+        table = total_rate(DressedState("e", 250), ModelParams.from_ratios(1.0, 0.5))
+        assert len(table.final_n) > 200 and built == []
+        assert len(table.transitions) == len(built) == len(table.final_n)
 
     def test_dark_ground_state(self):
         p = ModelParams.from_ratios(1.0, 0.5)
@@ -125,7 +148,9 @@ class TestTotalRate:
 
     def test_tables_hold_every_allowed_channel(self):
         # Both tables once stopped at n + 20 beta^2 + 60, inside the column's
-        # band, and missed 2.4% and 0.94% of these totals.
+        # band, and missed 2.4% and 0.94% of these totals.  Reading every
+        # allowed channel builds blocks stretched by doubling widths below the
+        # window: O(n) in all.
         p = ModelParams.from_ratios(0.009000735, 0.0046642481266060635)
         state = DressedState("e", 3987)
         every = math.fsum(partial_rate(state, k, p) for k in allowed_final_indices(state, p))
