@@ -13,8 +13,9 @@ step.  The random stream is versioned as ``philox4x64-inv-v2``
 Philox4x64-10 key ``(s, 0)``, and jump ``j`` of trajectory ``i`` reads
 the 4-word block at the 256-bit counter ``(i, j + 1, 0, 0)``, the block
 numpy's ``Philox(key=s, counter=((j + 1) << 64) + i - 1).random_raw(4)``
-returns (numpy steps the counter before each block).  One such call per
-jump reads the blocks of every live trajectory at once.  Word 0 gives
+returns (numpy steps the counter before each block).  A jump reads the
+blocks of its live trajectories one window of ``2**13`` trajectory ids
+at a time, one such call per window.  Word 0 gives
 the waiting time by inversion, ``-log(u) / total`` with
 ``u = ((w0 >> 11) + 1) * 2**-53`` and the logarithm from the platform C
 library; word 1 gives ``v = (w1 >> 11) * 2**-53``, which picks the
@@ -22,15 +23,23 @@ channel from the state's normalized cumulative rates.  Trajectory ``i``
 therefore depends only on ``(seed, i)``: it is the same bits whatever
 the ensemble size, and :func:`sample_trajectory` with ``stream=i``
 reproduces it alone.
+
+*Memory.*  While sampling, a jump keeps 12 bytes: its time (float64) and
+its channel (int32).  An :class:`Ensemble` stores ``time``,
+``from_state`` and ``channel`` (24 bytes a jump), ``row_start`` and
+``truncated`` per trajectory, and each state's channel-to-target map;
+``trajectory_id``, ``jump_index`` and ``to_state`` are derived from
+those on first use.  The spectrum and the log read the rows a block of
+``2**13`` at a time.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
@@ -58,8 +67,9 @@ _U11 = np.uint64(11)
 _ONE = np.uint64(1)
 _TWO_M53 = 2.0**-53
 
-# Rows of the trajectory log formatted per write.
-_LOG_CHUNK_ROWS = 1 << 14
+# Trajectory ids per random-number read, and rows per spectrum or log block.
+_BLOCK = 1 << 13
+_UNNUMBERED = -2  # a target map's mark for a channel taken but not yet numbered
 
 
 @dataclass(frozen=True)
@@ -105,7 +115,7 @@ class _JumpKernel:  # the table's channels of nonzero rate: positions, sum, norm
     cumulative: np.ndarray
 
 
-@lru_cache(maxsize=4096)
+@functools.lru_cache(maxsize=4096)
 def _jump_kernel(state: DressedState, params: ModelParams) -> _JumpKernel:
     table = total_rate(state, params)
     live = np.flatnonzero(table.rate_over_gamma0 > 0.0)
@@ -124,11 +134,13 @@ class Ensemble(Sequence):
 
     Each row is one jump, in trajectory-major order: the rows of
     trajectory ``i`` are ``row_start[i]:row_start[i + 1]``, by jump
-    index.  ``from_state`` and ``to_state`` index ``states``, and
-    ``channel`` indexes the live channels of the ``from_state`` jump
-    kernel.  ``truncated`` has one entry per trajectory.  Indexing
-    builds a :class:`Trajectory`, with records from the rate tables, on
-    demand (its stream is
+    index.  ``from_state`` indexes ``states``, and ``channel`` indexes
+    the live channels of the ``from_state`` jump kernel, which land in
+    state ``targets[from_state][channel]`` (-1 for a channel no row
+    takes).  ``truncated`` has one entry per trajectory.  The columns
+    ``trajectory_id``, ``jump_index`` and ``to_state`` are derived on
+    first use and then kept.  Indexing builds a :class:`Trajectory`,
+    with records from the rate tables, on demand (its stream is
     ``first_stream + i``; a slice gives a list); two ensembles compare
     equal when they are equal trajectory by trajectory.
     """
@@ -138,12 +150,10 @@ class Ensemble(Sequence):
     start: DressedState
     states: tuple[DressedState, ...]
     kernels: tuple[_JumpKernel, ...] = field(repr=False)
+    targets: tuple[np.ndarray, ...] = field(repr=False)
     row_start: np.ndarray
-    trajectory_id: np.ndarray
-    jump_index: np.ndarray
     time: np.ndarray
     from_state: np.ndarray
-    to_state: np.ndarray
     channel: np.ndarray
     truncated: np.ndarray
 
@@ -179,24 +189,62 @@ class Ensemble(Sequence):
         """Number of jumps of each trajectory."""
         return np.diff(self.row_start)
 
-    def _flat_channel(self) -> np.ndarray:
-        """Per row, the index of its channel among all kernels' live channels."""
+    @functools.cached_property
+    def trajectory_id(self) -> np.ndarray:
+        """Per row, the trajectory it belongs to."""
+        return _frozen(np.repeat(np.arange(len(self), dtype=np.int64), self.jump_counts))
+
+    @functools.cached_property
+    def jump_index(self) -> np.ndarray:
+        """Per row, its jump's index within the trajectory."""
+        return _frozen(np.arange(self.time.size) - np.repeat(self.row_start[:-1], self.jump_counts))
+
+    @functools.cached_property
+    def to_state(self) -> np.ndarray:
+        """Per row, the state the jump lands in (an index into ``states``)."""
+        return _frozen(np.concatenate(self.targets)[self._flat_channel()])
+
+    @functools.cached_property
+    def _channel_offsets(self) -> np.ndarray:
+        """Per state, where its live channels start among all kernels' live channels."""
         sizes = [kernel.live.size for kernel in self.kernels]
-        offsets = np.concatenate(([0], np.cumsum(sizes[:-1], dtype=np.int64)))
-        return offsets[self.from_state] + self.channel
+        return np.concatenate(([0], np.cumsum(sizes[:-1], dtype=np.int64)))
+
+    def _flat_channel(self, rows=slice(None)) -> np.ndarray:
+        """Per row, the index of its channel among all kernels' live channels."""
+        return self._channel_offsets[self.from_state[rows]] + self.channel[rows]
+
+    def _channel_freqs(self) -> np.ndarray:
+        """Photon frequency of each flat channel."""
+        return np.concatenate([kernel.table.photon_freq[kernel.live] for kernel in self.kernels])
 
     @property
     def photon_freq(self) -> np.ndarray:
         """Frequency of the photon emitted in each jump."""
-        freqs = np.concatenate([kernel.table.photon_freq[kernel.live] for kernel in self.kernels])
-        return freqs[self._flat_channel()]
+        return self._channel_freqs()[self._flat_channel()]
+
+
+def _frozen(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
+
+
+def _windows(ids: np.ndarray) -> list[slice]:
+    """Slices of the ascending ``ids``, one per window of ``_BLOCK`` ids that holds any."""
+    if not ids.size:
+        return []
+    bounds = np.arange(int(ids[0]) // _BLOCK + 1, int(ids[-1]) // _BLOCK + 1) * _BLOCK
+    cuts = np.unique(np.searchsorted(ids, bounds)).tolist()
+    return [slice(lo, hi) for lo, hi in zip([0, *cuts], [*cuts, ids.size])]
 
 
 class _RateGraph:
     """States numbered in the order trajectories first occupy them.
 
     A state's jump kernel is built when the state gets its number, so a
-    state no trajectory reaches costs nothing.
+    state no trajectory reaches costs nothing.  Channel ``c`` of state
+    ``sid`` lands in state ``targets[offsets[sid] + c]``, -1 until a
+    trajectory takes it.
     """
 
     def __init__(self, params: ModelParams):
@@ -205,8 +253,10 @@ class _RateGraph:
         self.states: list[DressedState] = []
         self.kernels: list[_JumpKernel] = []
         self.totals: list[float] = []
-        # per state: channel -> id of the state it lands in, -1 until taken
-        self.targets: list[np.ndarray] = []
+        self.offsets: list[int] = []
+        self.size = 0  # channels in the map; its buffer grows by doubling
+        self.targets = np.empty(0, dtype=np.int64)
+        self.pending: set[int] = set()  # states with channels marked by pick
 
     def number(self, state: DressedState) -> int:
         sid = self.ids.get(state)
@@ -216,19 +266,60 @@ class _RateGraph:
             self.states.append(state)
             self.kernels.append(kernel)
             self.totals.append(kernel.total)
-            self.targets.append(np.full(kernel.live.size, -1, dtype=np.int64))
+            self.offsets.append(self.size)
+            self.size += kernel.live.size
+            if self.size > self.targets.size:
+                grown = np.full(2 * self.size, -1, dtype=np.int64)
+                grown[: self.targets.size] = self.targets
+                self.targets = grown
         return sid
 
-    def jump(self, sid: int, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Channels that uniforms ``v`` pick in state ``sid``, and their targets."""
-        kernel = self.kernels[sid]
-        channel = np.searchsorted(kernel.cumulative, v, side="right")
-        np.minimum(channel, kernel.live.size - 1, out=channel)
-        targets = self.targets[sid]
-        table = kernel.table
-        for c in np.unique(channel[targets[channel] < 0]).tolist():
-            targets[c] = self.number(DressedState(table.final_branch, table.final_n[kernel.live[c]]))
-        return channel, targets[channel]
+    def pick(self, state: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """Channels that uniforms ``v`` pick in states ``state``; marks the first takers."""
+        channel = np.empty(v.size, dtype=np.int32)
+        order = np.argsort(state, kind="stable")
+        grouped = state[order]
+        cuts = (np.flatnonzero(grouped[1:] != grouped[:-1]) + 1).tolist()
+        for lo, hi in zip([0, *cuts], [*cuts, v.size]):
+            rows, sid = order[lo:hi], int(grouped[lo])
+            kernel, offset = self.kernels[sid], self.offsets[sid]
+            picked = np.searchsorted(kernel.cumulative, v[rows], side="right")
+            np.minimum(picked, kernel.live.size - 1, out=picked)
+            channel[rows] = picked
+            targets = self.targets[offset : offset + kernel.live.size]
+            fresh = picked[targets[picked] == -1]
+            if fresh.size:
+                targets[fresh] = _UNNUMBERED
+                self.pending.add(sid)
+        return channel
+
+    def settle(self) -> None:
+        """Number the targets of the marked channels, by state and then by channel."""
+        for sid in sorted(self.pending):
+            kernel, offset = self.kernels[sid], self.offsets[sid]
+            marked = self.targets[offset : offset + kernel.live.size] == _UNNUMBERED
+            for c in np.flatnonzero(marked).tolist():
+                final_n = kernel.table.final_n[kernel.live[c]]
+                target = self.number(DressedState(kernel.table.final_branch, final_n))
+                self.targets[offset + c] = target  # number() may have grown the buffer
+        self.pending.clear()
+
+    def advance(self, live: np.ndarray, state: np.ndarray, channel: np.ndarray, *lanes) -> int:
+        """Move each lane to the state its ``channel`` lands in and keep, in place and in
+        order, those whose new state still emits (``lanes`` are compacted alike); returns
+        how many stay."""
+        emits = np.array(self.totals) > 0.0
+        offsets = np.array(self.offsets, dtype=np.int64)
+        kept = 0
+        for rows in _windows(live):
+            target = self.targets[offsets[state[rows]] + channel[rows]]
+            keep = emits[target]
+            end = kept + int(np.count_nonzero(keep))
+            for column in (live, *lanes):
+                column[kept:end] = column[rows][keep]
+            state[kept:end] = target[keep]
+            kept = end
+        return kept
 
 
 def _sample(
@@ -244,77 +335,72 @@ def _sample(
 
     graph = _RateGraph(params)
     graph.number(start)
-    clock = np.zeros(count)
-    live = np.arange(count if graph.totals[0] > 0.0 else 0)
-    state = np.zeros(live.size, dtype=np.int64)
-    jump_counts = np.zeros(count, dtype=np.int64)
-    steps = []
+    emitting = count if graph.totals[0] > 0.0 else 0
+    live = np.arange(emitting)  # ascending ids of the live lanes, compacted after each jump
+    state = np.zeros(emitting, dtype=np.int64)
+    clock = np.zeros(emitting)
+    row_start = np.zeros(count + 1, dtype=np.int64)  # jump counts until the cumsum
+    steps = []  # per jump, the time and channel of each live lane
     for jump in range(max_jumps):
         if not live.size:
             break
-        # One call reads the blocks at counters (i, jump + 1) for the streams
-        # i from the first live one to the last; numpy steps before a block.
-        first = int(live[0])
-        bits = Philox(key=seed, counter=((jump + 1) << 64) + first_stream + first - 1)
-        words = bits.random_raw(4 * (int(live[-1]) - first + 1))
-        lane = (live - first) * 4
-        w0, w1 = words[lane], words[lane + 1]
-        u = ((w0 >> _U11) + _ONE) * _TWO_M53
-        v = (w1 >> _U11) * _TWO_M53
-        # libm, not np.log: SIMD logarithms differ between builds in the last bit.
-        log_u = np.fromiter(map(math.log, u.tolist()), dtype=float, count=live.size)
-        clock[live] -= log_u / np.array(graph.totals)[state]
-
-        channel = np.empty(live.size, dtype=np.int64)
-        target = np.empty(live.size, dtype=np.int64)
-        order = np.argsort(state, kind="stable")
-        grouped = state[order]
-        cuts = (np.flatnonzero(grouped[1:] != grouped[:-1]) + 1).tolist()
-        for lo, hi in zip([0, *cuts], [*cuts, live.size]):
-            rows = order[lo:hi]
-            channel[rows], target[rows] = graph.jump(int(grouped[lo]), v[rows])
-        steps.append((live, clock[live], state, target, channel))
-        jump_counts[live] = jump + 1
-
-        going = np.array(graph.totals)[target] > 0.0
-        live, state = live[going], target[going]
+        totals = np.array(graph.totals)
+        times, channels = np.empty(live.size), np.empty(live.size, dtype=np.int32)
+        for lanes in _windows(live):
+            # One call reads the blocks at counters (i, jump + 1) for the ids i
+            # from the window's first live one to its last; numpy steps before a block.
+            ids = live[lanes]
+            first = int(ids[0])
+            bits = Philox(key=seed, counter=((jump + 1) << 64) + first_stream + first - 1)
+            words = bits.random_raw(4 * (int(ids[-1]) - first + 1))
+            lane = (ids - first) * 4
+            u = ((words[lane] >> _U11) + _ONE) * _TWO_M53
+            v = (words[lane + 1] >> _U11) * _TWO_M53
+            # libm, not np.log: SIMD logarithms differ between builds in the last bit.
+            log_u = np.fromiter(map(math.log, u.tolist()), dtype=float, count=ids.size)
+            clock[lanes] -= log_u / totals[state[lanes]]
+            times[lanes] = clock[lanes]
+            channels[lanes] = graph.pick(state[lanes], v)
+        graph.settle()
+        steps.append((times, channels))
+        row_start[1:][live] = jump + 1
+        kept = graph.advance(live, state, channels, clock)
+        live, state, clock = live[:kept], state[:kept], clock[:kept]
 
     truncated = np.zeros(count, dtype=bool)
     truncated[live] = True
+    del live, state, clock
 
     # A trajectory live at a step was live at every earlier one, so its
-    # row for jump j is row_start[id] + j: scatter each step into place
-    # and drop it once written.
-    row_start = np.zeros(count + 1, dtype=np.int64)
-    np.cumsum(jump_counts, out=row_start[1:])
-    rows = int(row_start[-1])
-    trajectory_id, jump_index, from_state, to_state, channel = (
-        np.empty(rows, dtype=np.int64) for _ in range(5)
-    )
-    time = np.empty(rows)
-    columns = (trajectory_id, time, from_state, to_state, channel)
+    # row for jump j is row_start[id] + j.  Replay the lanes through the
+    # target map, scatter each step into place and drop it once written.
+    np.cumsum(row_start, out=row_start)
+    n_rows = int(row_start[-1])
+    time = np.empty(n_rows)
+    from_state, channel = np.empty(n_rows, dtype=np.int64), np.empty(n_rows, dtype=np.int64)
+    live, state = np.arange(emitting), np.zeros(emitting, dtype=np.int64)
     for jump in range(len(steps)):
-        step, steps[jump] = steps[jump], None
-        at = row_start[step[0]] + jump
-        for column, values in zip(columns, step):
-            column[at] = values
-        jump_index[at] = jump
-    for array in (row_start, truncated, jump_index, *columns):
-        array.flags.writeable = False
+        times, channels = steps[jump]
+        steps[jump] = None
+        for lanes in _windows(live):
+            at = row_start[live[lanes]] + jump
+            time[at], from_state[at], channel[at] = times[lanes], state[lanes], channels[lanes]
+        kept = graph.advance(live, state, channels)
+        live, state = live[:kept], state[:kept]
+    targets = _frozen(graph.targets[: graph.size].copy())
     return Ensemble(
         seed=seed,
         first_stream=first_stream,
         start=start,
         states=tuple(graph.states),
         kernels=tuple(graph.kernels),
-        row_start=row_start,
-        trajectory_id=trajectory_id,
-        jump_index=jump_index,
-        time=time,
-        from_state=from_state,
-        to_state=to_state,
-        channel=channel,
-        truncated=truncated,
+        targets=tuple(targets[offset : offset + kernel.live.size]
+                      for offset, kernel in zip(graph.offsets, graph.kernels)),
+        row_start=_frozen(row_start),
+        time=_frozen(time),
+        from_state=_frozen(from_state),
+        channel=_frozen(channel),
+        truncated=_frozen(truncated),
     )
 
 
@@ -367,13 +453,22 @@ def emission_spectrum(trajectories, bin_width: float) -> SpectrumHistogram:
     if not (math.isfinite(bin_width) and bin_width > 0.0):
         raise ValueError(f"bin_width must be > 0, got {bin_width!r}")
     if isinstance(trajectories, Ensemble):
-        freqs = trajectories.photon_freq
+        # Count rows per channel a block at a time, then bin the channels.
+        channel_freqs = trajectories._channel_freqs()
+        per_channel = np.zeros(channel_freqs.size, dtype=np.int64)
+        for lo in range(0, trajectories.time.size, _BLOCK):
+            flat = trajectories._flat_channel(slice(lo, lo + _BLOCK))
+            per_channel += np.bincount(flat, minlength=per_channel.size)
+        emitted = np.flatnonzero(per_channel)
+        freqs, photons = channel_freqs[emitted], per_channel[emitted]
     else:
         freqs = np.array(
             [rec.photon_freq for traj in trajectories for _, rec in traj.jumps],
             dtype=float,
         )
-    if freqs.size == 0:
+        photons = np.ones(freqs.size, dtype=np.int64)
+    total = int(photons.sum())
+    if total == 0:
         return SpectrumHistogram(
             bin_edges=np.empty(0),
             weights=np.empty(0),
@@ -384,13 +479,14 @@ def emission_spectrum(trajectories, bin_width: float) -> SpectrumHistogram:
         raise ValueError(f"bin_width {bin_width!r} puts a frequency past bin index 2**53")
     ks = np.rint(freqs / bin_width).astype(np.int64)
     k_lo, k_hi = int(ks.min()), int(ks.max())
-    counts = np.bincount(ks - k_lo, minlength=k_hi - k_lo + 1)
+    # Weighted sums of whole counts are exact in float64 below 2**53.
+    counts = np.bincount(ks - k_lo, photons, minlength=k_hi - k_lo + 1).astype(np.int64)
     edges = (np.arange(k_lo, k_hi + 2) - 0.5) * bin_width
     return SpectrumHistogram(
         bin_edges=edges,
-        weights=counts / freqs.size,
+        weights=counts / total,
         counts=counts,
-        total_photons=int(freqs.size),
+        total_photons=total,
     )
 
 
@@ -409,12 +505,13 @@ def _log_chunks(ensemble: Ensemble, delimiter: str):
         for kernel in ensemble.kernels
         for k, freq in zip(kernel.live.tolist(), kernel.table.photon_freq[kernel.live].tolist())
     )
-    flat = ensemble._flat_channel()
-    for lo in range(0, flat.size, _LOG_CHUNK_ROWS):
-        rows = slice(lo, lo + _LOG_CHUNK_ROWS)
+    for lo in range(0, ensemble.time.size, _BLOCK):
+        block = slice(lo, min(lo + _BLOCK, ensemble.time.size))
+        rows = np.arange(block.start, block.stop)
+        trajectory = np.searchsorted(ensemble.row_start, rows, side="right") - 1
         yield _text.rows_text(
-            [ensemble.trajectory_id[rows], ensemble.jump_index[rows], ensemble.time[rows],
-             tails.take(flat[rows])],
+            [trajectory, rows - ensemble.row_start[trajectory], ensemble.time[block],
+             tails.take(ensemble._flat_channel(block))],
             delimiter,
         )
 

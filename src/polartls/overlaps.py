@@ -55,6 +55,8 @@ _JOIN = 8
 _MAX_COLUMN = 1 << 21
 # The pair API reads the same short columns again and again (criteria 1-3 build each
 # one 40-200 times); 256 columns of fewer entries than this are kept, 16 MB at most.
+# Of the longer ones only the most recent is kept, for a caller reading a far
+# off-window block one index at a time.
 _CACHED_COLUMN = 1 << 12
 
 
@@ -246,6 +248,12 @@ def _column(n: int, beta: float, lo: int, hi: int):
 _cached_column = functools.lru_cache(maxsize=256)(_column)
 
 
+@functools.lru_cache(maxsize=1)
+def _last_long_column(n: int, beta: float, lo: int, hi: int):
+    """The most recent column of ``_CACHED_COLUMN`` entries or more, built by ``_column``."""
+    return _column(n, beta, lo, hi)
+
+
 def _core_window(n: int, beta: float) -> tuple[int, int]:
     """``(lo, hi)``: where the column of ket ``n`` has support, ``x + 40 x^{1/3} + 60``
     below ``n`` (``x = 2 beta sqrt(n)``) and that plus ``beta^2 + 40 beta`` above, at
@@ -305,7 +313,7 @@ def _overlap_column(ells, n: int, beta: float):
     frac, exp = np.empty(ells.shape), np.empty(ells.shape, np.int64)
     for start, stop in sorted(set(zip(first.tolist(), last.tolist()))):
         pick = (first == start) & (last == stop)
-        column = _cached_column if stop - start < _CACHED_COLUMN else _column
+        column = _cached_column if stop - start < _CACHED_COLUMN else _last_long_column
         col_frac, col_exp = column(n, beta, start, stop)
         frac[pick], exp[pick] = col_frac[ells[pick] - start], col_exp[ells[pick] - start]
     with np.errstate(divide="ignore"):

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -391,6 +392,24 @@ class TestEnsembleColumns:
         assert ens.jump_counts.tolist() == [len(t.jumps) for t in ens]
         assert not ens.time.flags.writeable
 
+    def test_derived_columns_are_cached_read_only_int64(self):
+        p = ModelParams.from_ratios(1.0, 0.45)
+        start = DressedState("e", 6)
+        ens = sample_ensemble(start, p, seed=4, n_trajectories=25)
+        for name in ("trajectory_id", "jump_index", "to_state"):
+            column = getattr(ens, name)
+            assert column.dtype == np.int64 and column.shape == ens.time.shape
+            assert not column.flags.writeable
+            assert getattr(ens, name) is column
+        # a row lands where the next row of its trajectory starts
+        same = ens.trajectory_id[1:] == ens.trajectory_id[:-1]
+        assert np.array_equal(ens.to_state[:-1][same], ens.from_state[1:][same])
+        assert ens == list(ens) == sample_ensemble(start, p, seed=4, n_trajectories=25)
+        assert ens[-1] == ens[24] == sample_trajectory(start, p, seed=4, stream=24)
+        assert ens[3:5] == [ens[3], ens[4]]
+        with pytest.raises(IndexError):
+            ens[25]
+
     def test_spectrum_same_from_columns_and_objects(self):
         p = ModelParams.from_ratios(1.0, 0.45)
         ens = sample_ensemble(DressedState("e", 9), p, seed=17, n_trajectories=60)
@@ -422,3 +441,83 @@ class TestAtomicLog:
             write_trajectory_log(ens, path)
         assert path.read_text() == "previous\n"
         assert list(tmp_path.iterdir()) == [path]
+
+
+def _columns(ens):
+    names = ("row_start", "time", "from_state", "channel", "truncated",
+             "trajectory_id", "jump_index", "to_state")
+    return {name: getattr(ens, name).tolist() for name in names} | {
+        "states": ens.states, "targets": [t.tolist() for t in ens.targets]}
+
+
+class TestWindows:
+    @pytest.mark.parametrize(
+        "start, ratios, count, max_jumps",
+        [
+            (DressedState("e", 6), (1.0, 0.45), 200, 1000),
+            (DressedState("e", 40), (2.0, 1.6), 60, 3),  # truncated lanes
+            (DressedState("g", 0), (1.0, 0.5), 20, 1000),  # dark start: no live lane
+        ],
+    )
+    def test_columns_and_log_do_not_depend_on_the_window(
+        self, tmp_path, monkeypatch, start, ratios, count, max_jumps
+    ):
+        p = ModelParams.from_ratios(*ratios)
+        runs = []
+        for window in (cascade_module._BLOCK, 1, 3):
+            monkeypatch.setattr(cascade_module, "_BLOCK", window)
+            ens = sample_ensemble(start, p, seed=31, n_trajectories=count, max_jumps=max_jumps)
+            path = tmp_path / f"log{window}.csv"
+            write_trajectory_log(ens, path)
+            runs.append((_columns(ens), path.read_bytes()))
+        assert runs[0] == runs[1] == runs[2]
+        assert (max_jumps == 3) == any(runs[0][0]["truncated"])
+        assert (start.branch == "g") == (runs[0][0]["row_start"][-1] == 0)
+
+
+class TestMemory:
+    """tracemalloc peaks against the sampler's design.  A jump keeps 12 bytes
+    (time, int32 channel) until the columns are scattered, and the stored columns
+    take 24 (time, from_state, channel).  A trajectory holds at most its lane
+    (id, state, clock), its row_start entry and its truncated flag: 33 bytes.  A
+    window of _BLOCK ids reads 32 bytes of Philox words per id and a few dozen
+    lane-sized transients; 256 bytes an id bounds it."""
+
+    START, PARAMS, COUNT = DressedState("e", 5), ModelParams.from_ratios(0.5, 0.5), 100_000
+
+    def _traced(self, run):
+        tracemalloc.start()
+        try:
+            result = run()
+            return result, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_sampling_peak(self):
+        sample_ensemble(self.START, self.PARAMS, seed=1, n_trajectories=10)  # rate tables
+        ens, peak = self._traced(
+            lambda: sample_ensemble(self.START, self.PARAMS, seed=31, n_trajectories=self.COUNT)
+        )
+        bound = 36 * ens.time.size + 33 * self.COUNT + 256 * cascade_module._BLOCK + (1 << 18)
+        assert ens.time.size > 2 * self.COUNT
+        assert peak <= bound, (peak, bound)
+
+    def test_spectrum_and_log_peak_does_not_grow_with_rows(self, tmp_path, monkeypatch):
+        # Both read the rows a block at a time: nothing per row, about 1 kB a
+        # block row for the log's text (cells and their row matrix), and small
+        # per-channel tables.  Short blocks make one row-sized array (2.2 MB at
+        # 8 bytes a row) break the bound.
+        monkeypatch.setattr(cascade_module, "_BLOCK", 1 << 10)
+        small = sample_ensemble(self.START, self.PARAMS, seed=1, n_trajectories=10)
+        write_trajectory_log(small, tmp_path / "warm.csv")  # loads the text renderer
+        ens = sample_ensemble(self.START, self.PARAMS, seed=31, n_trajectories=self.COUNT)
+        channels = sum(kernel.live.size for kernel in ens.kernels)
+
+        def tail():
+            emission_spectrum(ens, bin_width=0.05)
+            write_trajectory_log(ens, tmp_path / "log.csv")
+
+        _, peak = self._traced(tail)
+        bound = 1024 * cascade_module._BLOCK + 1024 * channels + (1 << 20)
+        assert ens.time.size > 2 * self.COUNT
+        assert peak <= bound, (peak, bound)

@@ -1,6 +1,7 @@
 """Cross-ladder overlaps: exact series, asymptotic route, matrix oracle."""
 
 import cmath
+import functools
 import math
 import warnings
 
@@ -11,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polartls import overlaps, rates
-from polartls.ladder import DressedState
+from polartls.ladder import DressedState, allowed_final_indices
 from polartls.numerics import PrecisionLossWarning, bessel_j
 from polartls.overlaps import (
     ModelParams,
@@ -408,6 +409,26 @@ class TestOverlapColumn:
         assert len(table.transitions) > 200
         assert len(calls) == 1
         assert len(columns) == 1
+
+    def test_pair_api_builds_each_block_once(self, monkeypatch):
+        # The far channels of (e,3987) share one block of 4,409 entries, past
+        # the short-column cache; the one long column kept serves them all.
+        p = ModelParams.from_ratios(0.009000735, 0.0046642481266060635)
+        state = DressedState("e", 3987)
+        builds, column = [], overlaps._column
+
+        def counting(*args):
+            builds.append(args[2:])
+            return column(*args)
+
+        overlaps._last_long_column.cache_clear()
+        monkeypatch.setattr(overlaps, "_column", counting)
+        monkeypatch.setattr(overlaps, "_cached_column", functools.lru_cache(maxsize=256)(counting))
+        allowed = allowed_final_indices(state, p)
+        every = math.fsum(partial_rate(state, k, p) for k in allowed)
+        assert every == total_rate(state, p).total_over_gamma0
+        assert (0, 4408) in builds and len(allowed) > 4000
+        assert len(builds) == len(set(builds)) <= 8
 
 
 def count_columns(monkeypatch):

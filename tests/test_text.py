@@ -124,7 +124,7 @@ class TestTrajectoryLogText:
         ensemble = sample_ensemble(DressedState("e", 4), ModelParams.from_ratios(0.8, 0.5),
                                    seed=5, n_trajectories=20)
         write_trajectory_log(ensemble, tmp_path / "whole.log")
-        monkeypatch.setattr(cascade_module, "_LOG_CHUNK_ROWS", rows)
+        monkeypatch.setattr(cascade_module, "_BLOCK", rows)
         write_trajectory_log(ensemble, tmp_path / "blocks.log")
         whole = (tmp_path / "whole.log").read_text()
         assert (tmp_path / "blocks.log").read_text() == whole == self.reference(ensemble, ",")
