@@ -263,9 +263,10 @@ def _as_cells(column, nonfinite) -> Cells:
     return float_cells(column, nonfinite)
 
 
-def rows_text(columns, sep: str, start: str = "", end: str = "\n", nonfinite=None) -> str:
-    """Every row's ``start + sep.join(cells) + end``, concatenated.  A column is
-    a :class:`Cells`, an integer array or a float array; ``nonfinite`` is
+def rows_text(columns, sep: str, start: str = "", end: str = "\n", nonfinite=None) -> np.ndarray:
+    """Every row's ``start + sep.join(cells) + end``, concatenated, as a uint8
+    array of UTF-8 bytes that a binary file writes as it is.  A column is a
+    :class:`Cells`, an integer array or a float array; ``nonfinite`` is
     passed to :func:`float_cells`."""
     cells = [_as_cells(column, nonfinite) for column in columns]
     pieces = [start.encode()]
@@ -284,4 +285,4 @@ def rows_text(columns, sep: str, start: str = "", end: str = "\n", nonfinite=Non
         else:
             chars[:, part], keep[:, part] = piece
         col += width
-    return np.compress(keep.ravel(), chars.ravel()).tobytes().decode()
+    return np.compress(keep.ravel(), chars.ravel())

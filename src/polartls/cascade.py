@@ -30,12 +30,17 @@ its channel (int32).  An :class:`Ensemble` stores ``time``,
 ``truncated`` per trajectory, and each state's channel-to-target map;
 ``trajectory_id``, ``jump_index`` and ``to_state`` are derived from
 those on first use.  The spectrum and the log read the rows a block of
-``2**13`` at a time.
+``2**13`` at a time.  Since trajectory ``i`` depends only on
+``(seed, i)``, the ``cascade`` command samples, logs and tallies one
+window of ``2**13`` trajectory ids at a time and keeps 16 bytes a
+trajectory (jump count and last time) plus a photon count per channel,
+whatever the number of jumps.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import os
 from collections.abc import Sequence
@@ -67,7 +72,8 @@ _U11 = np.uint64(11)
 _ONE = np.uint64(1)
 _TWO_M53 = 2.0**-53
 
-# Trajectory ids per random-number read, and rows per spectrum or log block.
+# Trajectory ids per random-number read and per ``cascade`` command window,
+# and rows per spectrum or log block.
 _BLOCK = 1 << 13
 _UNNUMBERED = -2  # a target map's mark for a channel taken but not yet numbered
 
@@ -217,6 +223,13 @@ class Ensemble(Sequence):
     def _channel_freqs(self) -> np.ndarray:
         """Photon frequency of each flat channel."""
         return np.concatenate([kernel.table.photon_freq[kernel.live] for kernel in self.kernels])
+
+    def _channel_counts(self) -> np.ndarray:
+        """Rows of each flat channel, counted a block of rows at a time."""
+        counts = np.zeros(sum(kernel.live.size for kernel in self.kernels), dtype=np.int64)
+        for lo in range(0, self.time.size, _BLOCK):
+            counts += np.bincount(self._flat_channel(slice(lo, lo + _BLOCK)), minlength=counts.size)
+        return counts
 
     @property
     def photon_freq(self) -> np.ndarray:
@@ -453,20 +466,20 @@ def emission_spectrum(trajectories, bin_width: float) -> SpectrumHistogram:
     if not (math.isfinite(bin_width) and bin_width > 0.0):
         raise ValueError(f"bin_width must be > 0, got {bin_width!r}")
     if isinstance(trajectories, Ensemble):
-        # Count rows per channel a block at a time, then bin the channels.
-        channel_freqs = trajectories._channel_freqs()
-        per_channel = np.zeros(channel_freqs.size, dtype=np.int64)
-        for lo in range(0, trajectories.time.size, _BLOCK):
-            flat = trajectories._flat_channel(slice(lo, lo + _BLOCK))
-            per_channel += np.bincount(flat, minlength=per_channel.size)
-        emitted = np.flatnonzero(per_channel)
-        freqs, photons = channel_freqs[emitted], per_channel[emitted]
+        freqs, photons = trajectories._channel_freqs(), trajectories._channel_counts()
     else:
         freqs = np.array(
             [rec.photon_freq for traj in trajectories for _, rec in traj.jumps],
             dtype=float,
         )
         photons = np.ones(freqs.size, dtype=np.int64)
+    return _binned_spectrum(freqs, photons, bin_width)
+
+
+def _binned_spectrum(freqs: np.ndarray, photons: np.ndarray, bin_width: float) -> SpectrumHistogram:
+    """The histogram of ``photons[i]`` photons at each frequency ``freqs[i]``."""
+    emitted = np.flatnonzero(photons)
+    freqs, photons = freqs[emitted], photons[emitted]
     total = int(photons.sum())
     if total == 0:
         return SpectrumHistogram(
@@ -490,28 +503,34 @@ def emission_spectrum(trajectories, bin_width: float) -> SpectrumHistogram:
     )
 
 
+def _log_header(delimiter: str) -> bytes:
+    """The log's first line, its column names after a ``#``."""
+    names = "trajectory_id,jump_index,time,from_branch,from_n,to_branch,to_n,photon_freq"
+    return f"# {names}\n".replace(",", delimiter).encode()
+
+
 def _log_chunks(ensemble: Ensemble, delimiter: str):
-    """The log text: the header line, then rows in blocks of lines."""
+    """The log's rows as UTF-8 bytes in blocks of lines; trajectory ids count
+    from ``ensemble.first_stream``."""
     from . import _text  # only the writers load it
 
-    yield (
-        "# trajectory_id,jump_index,time,from_branch,from_n,"
-        "to_branch,to_n,photon_freq\n".replace(",", delimiter)
-    )
-    # Everything after the time depends only on the (state, channel) pair.
+    # Everything after the time depends only on the (state, channel) pair, and
+    # only the pairs some row takes (a target other than -1) are rendered.
+    taken = [kernel.live[target >= 0] for kernel, target in zip(ensemble.kernels, ensemble.targets)]
     tails = _text.str_cells(
         delimiter.join((kernel.table.initial.branch, str(kernel.table.initial.n),
                         kernel.table.final_branch, str(kernel.table.final_n[k]), repr(freq)))
-        for kernel in ensemble.kernels
-        for k, freq in zip(kernel.live.tolist(), kernel.table.photon_freq[kernel.live].tolist())
+        for kernel, live in zip(ensemble.kernels, taken)
+        for k, freq in zip(live.tolist(), kernel.table.photon_freq[live].tolist())
     )
+    tail_of = np.cumsum(np.concatenate(ensemble.targets) >= 0) - 1  # flat channel -> tail
     for lo in range(0, ensemble.time.size, _BLOCK):
         block = slice(lo, min(lo + _BLOCK, ensemble.time.size))
         rows = np.arange(block.start, block.stop)
         trajectory = np.searchsorted(ensemble.row_start, rows, side="right") - 1
         yield _text.rows_text(
-            [trajectory, rows - ensemble.row_start[trajectory], ensemble.time[block],
-             tails.take(ensemble._flat_channel(block))],
+            [trajectory + ensemble.first_stream, rows - ensemble.row_start[trajectory],
+             ensemble.time[block], tails.take(tail_of[ensemble._flat_channel(block)])],
             delimiter,
         )
 
@@ -531,17 +550,19 @@ def write_trajectory_log(ensemble: Ensemble, path, delimiter: str = ",") -> None
             f"write_trajectory_log takes the Ensemble from sample_ensemble, "
             f"got {type(ensemble).__name__}"
         )
-    _write_atomically(path, _log_chunks(ensemble, delimiter), "trajectory log")
+    chunks = itertools.chain([_log_header(delimiter)], _log_chunks(ensemble, delimiter))
+    _write_atomically(path, chunks, "trajectory log")
 
 
 def _write_atomically(path, chunks, what: str) -> None:
-    """Write ``chunks`` to a temporary file beside ``path`` and rename it into
-    place, so ``path`` ends up complete or untouched and no temporary stays."""
+    """Write the byte ``chunks`` to a temporary file beside ``path`` and rename it
+    into place, so ``path`` ends up complete or untouched and no temporary stays,
+    also when producing a chunk raises."""
     path = os.fspath(path)
     directory, name = os.path.split(path)
     tmp = os.path.join(directory, f".{name}.{os.getpid()}.{os.urandom(4).hex()}.tmp")
     try:
-        handle = open(tmp, "x", encoding="utf-8")
+        handle = open(tmp, "xb")
     except OSError as exc:
         raise OSError(f"cannot write {what} {path!r}: {exc}") from exc
     try:

@@ -35,8 +35,9 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .cascade import RNG_SCHEME, emission_spectrum, sample_ensemble, write_trajectory_log
-from .cascade import _MAX_SEED, _write_atomically
+from . import cascade
+from .cascade import RNG_SCHEME, _MAX_SEED, _write_atomically
+from .cascade import emission_spectrum, sample_ensemble, write_trajectory_log  # noqa: F401 (for bench WRAPPED)
 from .ladder import DressedState, allowed_final_indices
 from .numerics import MAX_BESSEL_ARG, _checked_int
 from .overlaps import MAX_LADDER_INDEX, ModelParams, _checked_index, _column_blocks
@@ -309,7 +310,7 @@ def _csv_chunks(config: SweepConfig, columns, blocks):
     if config.fixed:
         pinned = " ".join(f"{k}={config.fixed[k]!r}" for k in sorted(config.fixed))
         head += f"# fixed {pinned}\n"
-    yield head + ",".join(columns) + "\n"
+    yield (head + ",".join(columns) + "\n").encode()
     for block in blocks:
         yield _text.rows_text(block, ",")
 
@@ -323,12 +324,13 @@ def _json_chunks(config: SweepConfig, columns, blocks):
 
     head = {"quantity": config.quantity, "fixed": dict(sorted(config.fixed.items())),
             "columns": list(columns)}
-    separator = json.dumps(head, indent=1)[:-2] + ',\n "rows": [\n'
+    separator = (json.dumps(head, indent=1)[:-2] + ',\n "rows": [\n').encode()
     for block in blocks:
         rows = _text.rows_text(block, ",\n   ", ",\n  [\n   ", "\n  ]", _JSON_NONFINITE)
-        yield separator + rows[2:]  # each row starts ",\n", the first row of all not
-        separator = ",\n"
-    yield "\n ]\n}\n"
+        yield separator
+        yield rows[2:]  # each row starts ",\n", the first row of all not
+        separator = b",\n"
+    yield b"\n ]\n}\n"
 
 
 _CONFIG_KEYS = ("quantity", "output", "format", "omega_a", "omega_l", "sqrt_n", "p_values", "fix")
@@ -528,6 +530,39 @@ def _cmd_semiclassical(args) -> int:
     return 0
 
 
+class _CascadeTally:
+    """What the ``cascade`` summary needs, gathered one window of trajectories
+    at a time: each trajectory's jump count and, for those that jump, its last
+    time (16 bytes a trajectory), and each visited state's photon count per
+    live channel.  No row is kept."""
+
+    def __init__(self, count: int):
+        self.jump_counts = np.empty(count, dtype=np.int64)
+        self.last_times = np.empty(count)  # the first ``ended`` entries, by trajectory id
+        self.ended = self.truncated = 0
+        self.freqs: dict = {}  # state -> photon frequency of each live channel
+        self.photons: dict = {}  # state -> photons counted on each live channel
+        self.spectrum = None
+
+    def add(self, window) -> None:
+        jumps, lo = window.jump_counts, window.first_stream
+        self.jump_counts[lo : lo + jumps.size] = jumps
+        last = window.time[window.row_start[1:][jumps > 0] - 1]
+        self.last_times[self.ended : self.ended + last.size] = last
+        self.ended += last.size
+        self.truncated += int(np.count_nonzero(window.truncated))
+        counts = np.split(window._channel_counts(), window._channel_offsets[1:])
+        for state, kernel, photons in zip(window.states, window.kernels, counts):
+            if state not in self.freqs:
+                self.freqs[state] = kernel.table.photon_freq[kernel.live]
+            self.photons[state] = self.photons.get(state, 0) + photons
+
+    def binned(self, bin_width: float):
+        freqs = np.concatenate([np.empty(0), *self.freqs.values()])
+        photons = np.concatenate([np.empty(0, dtype=np.int64), *self.photons.values()])
+        return cascade._binned_spectrum(freqs, photons, bin_width)
+
+
 def _cmd_cascade(args) -> int:
     if not (math.isfinite(args.bin_width) and args.bin_width > 0.0):
         raise _UsageError(f"--bin-width must be finite and > 0, got {args.bin_width!r}")
@@ -536,21 +571,26 @@ def _cmd_cascade(args) -> int:
     _usage(_checked_int, "--max-jumps", args.max_jumps, "max_jumps", 1)
     params = _params_from_args(args)
     start = _state_from_args(args, params)
-    ensemble = sample_ensemble(
-        start,
-        params,
-        seed=args.seed,
-        n_trajectories=args.trajectories,
-        max_jumps=args.max_jumps,
-        threads=args.threads,
-    )
-    spectrum = _usage(emission_spectrum, "--bin-width", ensemble, args.bin_width)
-    write_trajectory_log(ensemble, args.output)
-    jump_counts = ensemble.jump_counts
-    total_times = ensemble.time[ensemble.row_start[1:][jump_counts > 0] - 1]
+    count, tally = args.trajectories, _CascadeTally(args.trajectories)
+
+    def log():
+        # Trajectory i depends only on (seed, i): each window of ids is sampled,
+        # tallied and logged on its own, then dropped.
+        yield cascade._log_header(",")
+        for lo in range(0, count, cascade._BLOCK):
+            window = cascade._sample(start, params, args.seed, lo,
+                                     min(cascade._BLOCK, count - lo), args.max_jumps)
+            tally.add(window)
+            yield from cascade._log_chunks(window, ",")
+        # Binned before the rename: a width it refuses leaves no log.
+        tally.spectrum = _usage(tally.binned, "--bin-width", args.bin_width)
+
+    _write_atomically(args.output, log(), "trajectory log")
+    spectrum = tally.spectrum
+    jump_counts, total_times = tally.jump_counts, tally.last_times[: tally.ended]
     summary = {
-        "trajectories": len(ensemble),
-        "truncated": int(np.count_nonzero(ensemble.truncated)),
+        "trajectories": count,
+        "truncated": tally.truncated,
         "mean_jumps": float(np.mean(jump_counts)) if jump_counts.size else 0.0,
         "mean_total_time": float(np.mean(total_times)) if total_times.size else 0.0,
         "total_photons": spectrum.total_photons,

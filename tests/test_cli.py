@@ -5,12 +5,14 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from polartls import cli, overlaps
+from polartls import cascade, cli, overlaps
+from polartls.cascade import RNG_SCHEME, emission_spectrum, sample_ensemble, write_trajectory_log
 from polartls.cli import AxisSpec, SweepConfig, main, run_sweep
 from polartls.ladder import DressedState, allowed_final_indices
 from polartls.rates import (
@@ -703,6 +705,103 @@ class TestCascadeCommand:
         assert list(tmp_path.iterdir()) == []
 
 
+def _library_cascade(tmp_path, start, ratios, seed, count, max_jumps, bin_width):
+    """The log bytes and the summary of a cascade run built from the library's
+    whole-ensemble path: sample_ensemble, write_trajectory_log, emission_spectrum."""
+    ens = sample_ensemble(start, ModelParams.from_ratios(*ratios), seed=seed,
+                          n_trajectories=count, max_jumps=max_jumps)
+    spectrum = emission_spectrum(ens, bin_width)
+    write_trajectory_log(ens, tmp_path / "library.log")
+    jumps = ens.jump_counts
+    last = ens.time[ens.row_start[1:][jumps > 0] - 1]
+    summary = {
+        "trajectories": len(ens),
+        "truncated": int(np.count_nonzero(ens.truncated)),
+        "mean_jumps": float(np.mean(jumps)) if jumps.size else 0.0,
+        "mean_total_time": float(np.mean(last)) if last.size else 0.0,
+        "total_photons": spectrum.total_photons,
+        "spectrum_bin_width": bin_width,
+        "rng": RNG_SCHEME,
+        "spectrum": [[float(c), float(w)] for c, w in zip(spectrum.bin_centers, spectrum.weights)
+                     if w > 0.0],
+    }
+    return (tmp_path / "library.log").read_bytes(), summary
+
+
+def _summary_text(summary):
+    lines = [f"trajectories = {summary['trajectories']}", f"truncated = {summary['truncated']}",
+             f"mean_jumps = {summary['mean_jumps']:.6g}",
+             f"mean_total_time = {summary['mean_total_time']:.6g}  (1/gamma0 units)",
+             f"total_photons = {summary['total_photons']}", f"rng = {summary['rng']}",
+             "spectrum (center omega/omega0, weight):",
+             *(f"  {c:.6g}, {w:.6g}" for c, w in summary["spectrum"])]
+    return "".join(line + "\n" for line in lines)
+
+
+class TestStreamedCascade:
+    """The command samples, logs and tallies one window of _BLOCK trajectory ids
+    at a time; its log and summary equal the whole-ensemble library path's."""
+
+    def _check(self, tmp_path, capsys, start, ratios, count, max_jumps=1000, bin_width=0.05):
+        want_log, want = _library_cascade(tmp_path, start, ratios, 31, count, max_jumps, bin_width)
+        argv = ["cascade", "--branch", start.branch, "--n", str(start.n),
+                "--omega-a", repr(ratios[0]), "--omega-l", repr(ratios[1]), "--seed", "31",
+                "--trajectories", str(count), "--max-jumps", str(max_jumps),
+                "--bin-width", repr(bin_width), "--output", str(tmp_path / "cli.log")]
+        for fmt, text in (("json", json.dumps(want, indent=1) + "\n"), ("csv", _summary_text(want))):
+            capsys.readouterr()
+            assert main([*argv, "--format", fmt]) == 0
+            assert capsys.readouterr().out == text
+            assert (tmp_path / "cli.log").read_bytes() == want_log
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cli.log", "library.log"]
+        return want
+
+    @pytest.mark.parametrize("window", [None, 1, 3])
+    @pytest.mark.parametrize("windows, extra", [(0, 0), (0, 1), (1, -1), (1, 0), (1, 1), (3, 5)])
+    def test_counts_around_the_window(self, tmp_path, capsys, monkeypatch, window, windows, extra):
+        if window is not None:
+            monkeypatch.setattr(cascade, "_BLOCK", window)
+        count = windows * cascade._BLOCK + extra
+        summary = self._check(tmp_path, capsys, DressedState("e", 5), (0.5, 0.5), count)
+        assert summary["trajectories"] == count and (summary["total_photons"] > 0) == (count > 0)
+
+    @pytest.mark.parametrize("window", [None, 1, 3])
+    @pytest.mark.parametrize("start, ratios, count, max_jumps", [
+        (DressedState("e", 40), (2.0, 1.6), 25, 3),  # truncated trajectories
+        (DressedState("g", 0), (1.0, 0.5), 7, 1000),  # dark start: no jump at all
+    ])
+    def test_truncated_and_dark_starts(self, tmp_path, capsys, monkeypatch, window, start, ratios,
+                                       count, max_jumps):
+        if window is not None:
+            monkeypatch.setattr(cascade, "_BLOCK", window)
+        summary = self._check(tmp_path, capsys, start, ratios, count, max_jumps)
+        assert (summary["truncated"] > 0) == (max_jumps == 3)
+        assert (summary["total_photons"] == 0) == (start.branch == "g")
+
+    def test_peak_memory_does_not_grow_with_jumps(self, tmp_path, capsys, monkeypatch):
+        # About 1 kB a block row for the log's text, 16 bytes a trajectory for the
+        # summary's jump counts and last times (17 allowed), 1 kB a channel for
+        # the per-window tables, and nothing per jump: holding the ensemble (36
+        # bytes a jump while it is built) breaks the bound.
+        monkeypatch.setattr(cascade, "_BLOCK", 1 << 10)
+        count, params = 100_000, ("--omega-a", "0.5", "--omega-l", "0.5")
+        argv = ["cascade", "--branch", "e", "--n", "5", *params, "--seed", "31",
+                "--output", str(tmp_path / "log.csv")]
+        assert main([*argv, "--trajectories", "10"]) == 0  # rate tables, text renderer
+        tracemalloc.start()
+        try:
+            assert main([*argv, "--trajectories", str(count)]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        ens = sample_ensemble(DressedState("e", 5), ModelParams.from_ratios(0.5, 0.5), seed=31,
+                              n_trajectories=count)
+        channels = sum(kernel.live.size for kernel in ens.kernels)
+        bound = 1024 * cascade._BLOCK + 17 * count + 1024 * channels + (1 << 20)
+        assert ens.time.size > 2 * count
+        assert peak <= bound, (peak, bound)
+
+
 class TestExitCodes:
     def test_usage_error_is_2(self):
         assert main(["sweep", "--quantity", "nonsense"]) == 2
@@ -719,9 +818,9 @@ class TestExitCodes:
         def no_memory(*args, **kwargs):
             raise MemoryError(message)
 
-        monkeypatch.setattr(cli, "sample_ensemble", no_memory)
+        monkeypatch.setattr(cascade, "_sample", no_memory)  # the command's per-window sampler
         assert main(["cascade", "--branch", "e", "--n", "5", "--omega-a", "0.5",
-                     "--omega-l", "0.5", "--seed", "1", "--trajectories", "10000000000000",
+                     "--omega-l", "0.5", "--seed", "1", "--trajectories", "10",
                      "--output", str(tmp_path / "c.log")]) == 1
         assert capsys.readouterr() == ("", f"error: out of memory: {message}\n")
 

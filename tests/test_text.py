@@ -21,11 +21,11 @@ from polartls.overlaps import ModelParams
 
 
 def rendered(values, nonfinite=None):
-    return _text.rows_text([np.asarray(values, dtype=float)], "|", nonfinite=nonfinite)
+    return _text.rows_text([np.asarray(values, dtype=float)], "|", nonfinite=nonfinite).tobytes()
 
 
 def expected(values):
-    return "".join(repr(v) + "\n" for v in np.asarray(values, dtype=float).tolist())
+    return "".join(repr(v) + "\n" for v in np.asarray(values, dtype=float).tolist()).encode()
 
 
 def assert_repr(values):
@@ -74,28 +74,29 @@ class TestFloatsAreRepr:
     def test_nonfinite_lanes_take_the_given_text(self):
         table = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
         text = rendered([np.nan, 1.0, np.inf, -np.inf, 5e-324], nonfinite=table)
-        assert text.splitlines() == ["NaN", "1.0", "Infinity", "-Infinity", "5e-324"]
+        assert text.splitlines() == [b"NaN", b"1.0", b"Infinity", b"-Infinity", b"5e-324"]
 
     def test_empty(self):
-        assert rendered([]) == ""
+        assert rendered([]) == b""
 
 
 class TestCells:
     def test_integers_are_str(self):
         values = np.array([0, 7, -7, 10, -10, 123456789, 2**62, -(2**62), 10**18], dtype=np.int64)
         got = _text.rows_text([values], ",")
-        assert got == "".join(f"{v}\n" for v in values.tolist())
+        assert got.dtype == np.uint8
+        assert got.tobytes() == "".join(f"{v}\n" for v in values.tolist()).encode()
 
     def test_rows_are_joined_with_any_separators(self):
         floats = np.array([0.5, -1e-7, 3.0])
         ints = np.array([1, -22, 333])
         words = _text.str_cells(["a", "βγ", ""]).take(np.array([1, 2, 0]))
         for sep, start, end in ((",", "", "\n"), (" → ", "[", "]\n"), ("", "", "")):
-            got = _text.rows_text([ints, words, floats], sep, start, end)
+            got = _text.rows_text([ints, words, floats], sep, start, end).tobytes()
             want = "".join(
                 start + sep.join([str(i), w, repr(f)]) + end
                 for i, w, f in zip(ints.tolist(), ["βγ", "", "a"], floats.tolist())
-            )
+            ).encode()
             assert got == want
 
 
