@@ -16,21 +16,29 @@ integral value, else ``d.ddde+XX`` with at least two exponent digits.
 Zeros are laid out directly; subnormal, infinite and nan lanes are
 rendered by ``repr`` one lane at a time.
 
-A column renders to :class:`Cells`: a fixed-width ``uint8`` matrix plus
-the mask of the characters that are text rather than padding, so one
-boolean compress per block turns a row matrix into the file's bytes.
-The writers import this module when they run, so a command that writes
-no file never loads it, and the power and layout tables (about 60 kB)
-are built by the first float rendered.  Cost, in blocks of 16,384 values on a 2-core
-x86-64 machine: about 0.25 us a float, 0.35 us with its row assembled,
-against 0.8-1.3 us for ``repr`` and a join.
+A block of rows renders into one ``uint8`` matrix with a fixed-width
+slot per column, whose bytes past each cell's text are :data:`_PAD`
+(0xFF, a byte no UTF-8 text holds); dropping those bytes, a slice of
+rows at a time, leaves the block's text.  Each column is measured first
+(a float column by its shortest digits and layouts), then writes its
+cells straight into its slot.  A categorical column is a :class:`Cells`
+table read through row codes, so its text is copied once, into the
+block.  The writers import this module when they run, so a command that
+writes no file never loads it, and the power and layout tables (about
+60 kB) are built by the first float rendered.
+
+Cost, in blocks of 4,096 rows on a 2-core x86-64 machine: 1.0-1.6 us a
+CSV row of three or four columns (medians on a shared host), against
+0.8-1.3 us a float for ``repr`` and a join.  Besides its text, a block holds about 140-160 B of
+scratch a row: the slot matrix, about as wide as the text, and the
+Schubfach pass over one float column, about 170 B a value.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -41,6 +49,7 @@ _DIGITS = 17  # a double needs at most 17 significant digits
 _POW10 = 10 ** np.arange(20, dtype=np.uint64)
 _BILLION = np.uint64(10**9)
 _TEN = np.uint32(10)
+_ZERO = np.uint32(ord("0"))
 _MASK52 = np.uint64((1 << 52) - 1)
 _MASK63 = np.uint64((1 << 63) - 1)
 _LOW32 = np.uint64(0xFFFFFFFF)
@@ -56,15 +65,29 @@ _POSITIONAL = 20
 _FORMS = _POSITIONAL + 4
 
 
-class Cells(NamedTuple):
-    """One text cell per row: ``chars[i][keep[i]]`` is row i's text."""
+_PAD = np.uint8(0xFF)  # fills a slot past its cell's text
+_COMPRESS_BYTES = 1 << 14  # block bytes compressed at once
 
-    chars: np.ndarray  # (rows, width) uint8
-    keep: np.ndarray  # (rows, width) bool
+
+class Cells(NamedTuple):
+    """A column's text cells: row i's text is ``text[codes[i]]`` (``text[i]``
+    without codes), less its :data:`_PAD` bytes."""
+
+    text: np.ndarray  # (cells, width) uint8
+    codes: np.ndarray | None = None
 
     def take(self, codes) -> "Cells":
-        """The cells of rows ``codes``, as for a categorical column."""
-        return Cells(self.chars[codes], self.keep[codes])
+        """The cells of rows ``codes``, as for a categorical column; no text is copied."""
+        return Cells(self.text, codes if self.codes is None else self.codes[codes])
+
+
+class _Column(NamedTuple):
+    """A measured column: ``fill(out)`` writes its ``rows`` cells into a
+    ``(rows, width)`` uint8 view."""
+
+    rows: int
+    width: int
+    fill: Callable[[np.ndarray], None]
 
 
 def _layout(sign: int, form: int, n: int) -> list[int]:
@@ -134,18 +157,23 @@ def _shortest(bits):
     g1, g0, _ = _tables()
     biased = ((bits >> _U52) & np.uint64(0x7FF)).astype(np.int64)
     t = bits & _MASK52
-    c = t | (_MASK52 + _U1)
-    q = np.maximum(biased, 1) - 1075
     # Just above a power of two the next double down sits half as far away.
     irregular = (t == 0) & (biased > 1)
+    c = t | (_MASK52 + _U1)
+    del t
+    q = np.maximum(biased, 1) - 1075
+    del biased
     k = (q * 661971961083 - np.where(irregular, 274743187321, 0)) >> 41
     h = (q + ((-k * 913124641741) >> 38) + 2).astype(np.uint64)
+    del q
     out = c & _U1
     cb = c << _U2
+    del c
     g1, g0 = g1[k - _K_MIN], g0[k - _K_MIN]
     vb = _round_to_odd(g1, g0, cb << h)
     vbl = _round_to_odd(g1, g0, (cb - _U2 + irregular) << h)
     vbr = _round_to_odd(g1, g0, (cb + _U2) << h)
+    del g1, g0, cb, h, irregular
     # One multiple of 10**(k+1) inside the rounding interval is the answer;
     # else the multiple of 10**k inside it, the nearer if both are.
     s = vb >> _U2
@@ -160,26 +188,25 @@ def _shortest(bits):
     return f, k
 
 
-def _digits(u, width: int) -> np.ndarray:
+def _digits(u, width: int):
     """ASCII digits of the uint64 values ``u`` below ``10**width``, right-aligned:
-    row i of the result is digit column i."""
-    out = np.empty((width, u.size), dtype=np.uint8)
+    yields ``(i, row)`` with ``row`` the digit column i, lowest digit first."""
     for top in range(width, 0, -9):  # nine digits at a time in uint32, lowest first
         if top > 9:
             u, limb = np.divmod(u, _BILLION)
             limb = limb.astype(np.uint32)
         else:
             limb = u.astype(np.uint32)
-        for row in range(top - 1, max(top - 9, 0) - 1, -1):
+        for i in range(top - 1, max(top - 9, 0) - 1, -1):
             q = limb // _TEN
-            out[row] = limb - q * _TEN
+            limb -= q * _TEN
+            limb += _ZERO
+            yield i, limb
             limb = q
-    out += ord("0")
-    return out
 
 
-def float_cells(x, nonfinite: dict | None = None) -> Cells:
-    """Cells of ``repr(float(v))`` for each value of ``x``; with ``nonfinite``,
+def _float_column(x, nonfinite) -> _Column:
+    """The cells of ``repr(float(v))`` for each value of ``x``; with ``nonfinite``,
     the text of a nan or infinite lane is looked up in it by its repr."""
     x = np.ascontiguousarray(x, dtype=float).ravel()
     bits = x.view(np.uint64)
@@ -194,95 +221,123 @@ def float_cells(x, nonfinite: dict | None = None) -> Cells:
     f[zero] = 0
     n = np.maximum(np.searchsorted(_POW10, f, side="right"), 1)
     decpt = np.where(zero, 1, k + n)
-    exponent = np.abs(decpt - 1)
+    del k, zero
+    exponent = np.abs(decpt - 1).astype(np.uint32)
     form = np.where(
         (decpt > -4) & (decpt <= 16),
         decpt + 3,
         _POSITIONAL + 2 * (decpt < 1) + (exponent >= 100),
     )
+    del decpt
     layouts = _tables()[2]
-    layout = ((bits >> _U63).astype(np.intp) * _FORMS + form) * _DIGITS + n - 1
+    layout = (((bits >> _U63).astype(np.int16) * _FORMS + form) * _DIGITS + n - 1).astype(np.int16)
+    del form, n
+    # Subnormal, infinite and nan lanes take repr's text (or nonfinite's) in place of a layout.
     biased = (bits >> _U52) & np.uint64(0x7FF)
-    fallback = np.flatnonzero(((biased == 0) & ~zero) | (biased == 0x7FF)).tolist()
-    if fallback:
-        columns = np.arange(_TEMPLATE.size)
-    else:  # only the columns some layout of the block keeps
-        columns = np.flatnonzero(layouts[np.bincount(layout, minlength=len(layouts)) > 0].any(axis=0))
-        layouts = layouts[:, columns]
-    chars = np.empty((x.size, columns.size), dtype=np.uint8)
-    chars[:] = _TEMPLATE[columns]
-    digits = _digits(f, _DIGITS)
-    exponents = None
-    for j, col in enumerate(columns.tolist()):
-        if _DIGIT_COL <= col < _ZEROS_COL and col % 2 == 0:
-            chars[:, j] = digits[(col - _DIGIT_COL) // 2]
-        elif col > _E_COL + 2:
-            if exponents is None:
-                exponents = _digits(exponent.astype(np.uint64), 3)
-            chars[:, j] = exponents[col - _E_COL - 3]
-    keep = layouts[layout]
-    # Subnormal, infinite and nan lanes.
-    for i in fallback:
-        text = repr(float(x[i]))
-        if nonfinite is not None:
-            text = nonfinite.get(text, text)
-        chars[i, : len(text)] = np.frombuffer(text.encode(), dtype=np.uint8)
-        keep[i] = np.arange(_TEMPLATE.size) < len(text)
-    return Cells(chars, keep)
+    fallback = np.flatnonzero((biased == 0) & (bits << _U1 != 0) | (biased == 0x7FF))
+    del biased
+    texts = [(nonfinite or {}).get(text, text).encode() for text in map(repr, x[fallback].tolist())]
+    layout[fallback] = 0
+    # Only the columns some layout of the block keeps, and room for the texts.
+    used = layouts[np.bincount(layout, minlength=len(layouts)) > 0].any(axis=0)
+    used[: max(map(len, texts), default=0)] = True
+    columns = np.flatnonzero(used)
+    slot = {col: j for j, col in enumerate(columns.tolist())}
+
+    def fill(out):
+        out[:] = _TEMPLATE[columns]
+        for i, digit in _digits(f, _DIGITS):
+            if _DIGIT_COL + 2 * i in slot:
+                out[:, slot[_DIGIT_COL + 2 * i]] = digit
+        if _E_COL + 5 in slot:
+            for i, digit in _digits(exponent, 3):
+                if _E_COL + 3 + i in slot:
+                    out[:, slot[_E_COL + 3 + i]] = digit
+        out |= (_PAD * ~layouts[:, columns])[layout]  # 0xFF | byte is 0xFF
+        for i, text in zip(fallback.tolist(), texts):
+            out[i] = _PAD
+            out[i, : len(text)] = np.frombuffer(text, dtype=np.uint8)
+
+    return _Column(x.size, columns.size, fill)
 
 
-def int_cells(x) -> Cells:
-    """Cells of ``str(int(v))`` for each value of the integer array ``x``."""
+def float_cells(x, nonfinite: dict | None = None) -> Cells:
+    """:class:`Cells` of ``repr(float(v))`` for each value of ``x`` (see :func:`rows_text`
+    for ``nonfinite``)."""
+    column = _float_column(x, nonfinite)
+    text = np.empty((column.rows, column.width), dtype=np.uint8)
+    column.fill(text)
+    return Cells(text)
+
+
+def _int_column(x) -> _Column:
+    """The cells of ``str(int(v))`` for each value of the integer array ``x``."""
     x = np.asarray(x, dtype=np.int64).ravel()
     magnitude = np.abs(x).astype(np.uint64)
     n = np.maximum(np.searchsorted(_POW10, magnitude, side="right"), 1)
     minus = x < 0
     width = int(n.max(initial=1)) + bool(minus.any())
-    chars = _digits(magnitude, width).T.copy()
     first = width - n - minus
-    chars[np.flatnonzero(minus), first[minus]] = ord("-")
-    return Cells(chars, np.arange(width) >= first[:, None])
+
+    def fill(out):
+        for i, digit in _digits(magnitude, width):
+            out[:, i] = digit
+        out |= _PAD * (np.arange(width) < first[:, None])
+        out[np.flatnonzero(minus), first[minus]] = ord("-")
+
+    return _Column(x.size, width, fill)
 
 
 def str_cells(strings) -> Cells:
-    """Cells of the given strings (UTF-8), packed to the left."""
+    """:class:`Cells` of the given strings (UTF-8), packed to the left."""
     data = [s.encode() for s in strings]
     lengths = np.array([len(d) for d in data], dtype=np.intp)
     keep = np.arange(max(lengths, default=0)) < lengths[:, None]
-    chars = np.zeros(keep.shape, dtype=np.uint8)
-    chars[keep] = np.frombuffer(b"".join(data), dtype=np.uint8)
-    return Cells(chars, keep)
+    text = np.full(keep.shape, _PAD, dtype=np.uint8)
+    text[keep] = np.frombuffer(b"".join(data), dtype=np.uint8)
+    return Cells(text)
 
 
-def _as_cells(column, nonfinite) -> Cells:
+def _as_column(column, nonfinite) -> _Column:
     if isinstance(column, Cells):
-        return column
+        text, codes = column
+
+        def fill(out):
+            out[:] = text if codes is None else text[codes]
+
+        return _Column(len(text) if codes is None else len(codes), text.shape[1], fill)
     column = np.asarray(column)
     if column.dtype.kind in "iu":
-        return int_cells(column)
-    return float_cells(column, nonfinite)
+        return _int_column(column)
+    return _float_column(column, nonfinite)
 
 
 def rows_text(columns, sep: str, start: str = "", end: str = "\n", nonfinite=None) -> np.ndarray:
     """Every row's ``start + sep.join(cells) + end``, concatenated, as a uint8
     array of UTF-8 bytes that a binary file writes as it is.  A column is a
-    :class:`Cells`, an integer array or a float array; ``nonfinite`` is
-    passed to :func:`float_cells`."""
-    cells = [_as_cells(column, nonfinite) for column in columns]
+    :class:`Cells`, an integer array or a float array; ``nonfinite`` maps the
+    repr of a nan or infinite float to the text it is written as."""
     pieces = [start.encode()]
-    for column in cells:
-        pieces += [column, sep.encode()]
+    for column in columns:
+        pieces += [_as_column(column, nonfinite), sep.encode()]
     pieces[-1] = end.encode()
-    widths = [len(p) if isinstance(p, bytes) else p.chars.shape[1] for p in pieces]
-    chars = np.empty((cells[0].chars.shape[0], sum(widths)), dtype=np.uint8)
-    keep = np.empty(chars.shape, dtype=bool)
+    widths = [len(p) if isinstance(p, bytes) else p.width for p in pieces]
+    chars = np.empty((pieces[1].rows, sum(widths)), dtype=np.uint8)
     col = 0
-    for piece, width in zip(pieces, widths):
-        part = slice(col, col + width)
+    for i, width in enumerate(widths):
+        piece, pieces[i] = pieces[i], None  # a column's measures go once it is written
+        part = chars[:, col : col + width]
         if isinstance(piece, bytes):
-            chars[:, part] = np.frombuffer(piece, dtype=np.uint8)
-            keep[:, part] = True
+            part[:] = np.frombuffer(piece, dtype=np.uint8)
         else:
-            chars[:, part], keep[:, part] = piece
+            piece.fill(part)
         col += width
-    return np.compress(keep.ravel(), chars.ravel())
+    # A slice of rows at a time: np.compress holds an 8-byte index per byte it keeps.
+    rows = range(0, chars.shape[0], max(1, _COMPRESS_BYTES // max(chars.shape[1], 1)))
+    sizes = [np.count_nonzero(chars[lo : lo + rows.step] != _PAD) for lo in rows]
+    text, at = np.empty(sum(sizes), dtype=np.uint8), 0
+    for lo, size in zip(rows, sizes):
+        part = chars[lo : lo + rows.step].ravel()
+        np.compress(part != _PAD, part, out=text[at : at + size])
+        at += size
+    return text

@@ -158,7 +158,7 @@ def _ln_factorial(k) -> np.ndarray:
 # series term is x^2 / (4 (p+1)) < 2**-62 of it.  The recurrence runs above.
 _BESSEL_SERIES_X = 2.0**-30
 _MILLER_BLOCK = 64  # orders past an argument's shared start share one per block
-_MILLER_ENTRIES = 1 << 21  # recurrence-table entries computed at once
+_MILLER_ENTRIES = 1 << 21  # recurrence-table entries stored at once
 _RESCALE = 2.0**500  # recurrences scale their carries by this exact power of two
 _LN2 = math.log(2.0)
 
@@ -184,8 +184,8 @@ def _miller_cover(x):
     return _MILLER_BLOCK * -(-(bessel_truncation_order(x) + 64) // _MILLER_BLOCK)
 
 
-def _miller_columns(x: np.ndarray, start: np.ndarray) -> np.ndarray:
-    """``table[k, j] = J_k(x[j])`` for ``k <= start[j]`` by Miller's backward recurrence.
+def _miller_columns(x: np.ndarray, start: np.ndarray, top: int) -> np.ndarray:
+    """``table[k, j] = J_k(x[j])`` for ``k <= min(top, start[j])`` by Miller's backward recurrence.
 
     ``start`` must not increase along the arrays, and ``x >= 2**-30``, so
     one step grows a column by less than 2**45.  Each column runs
@@ -194,10 +194,13 @@ def _miller_columns(x: np.ndarray, start: np.ndarray) -> np.ndarray:
     scaled by 2**-500 (exactly) whenever it passes 2**500 and normalized at
     the end by ``J_0 + 2 sum_k J_2k = 1`` (Gil, Segura and Temme, *Numerical
     Methods for Special Functions*, ch. 4).  Columns run side by side but
-    never mix, so each one's bits depend on its own (x, start) only.
+    never mix, so each one's bits depend on its own (x, start) only.  The
+    recurrence needs its high start, not the rows it passes on the way down:
+    only rows up to ``top`` are stored, and they take the same steps, rescales
+    and normalization as in a table of every row, so they hold the same bits.
     """
     height = int(start[0]) + 1
-    table = np.zeros((height, x.size))
+    table = np.zeros((min(top + 1, height), x.size))
     f, f_up, even = np.zeros(x.size), np.zeros(x.size), np.zeros(x.size)
     joins = np.bincount(start, minlength=height)
     live = 0
@@ -205,7 +208,8 @@ def _miller_columns(x: np.ndarray, start: np.ndarray) -> np.ndarray:
         if joins[k]:
             f[live : live + joins[k]] = 1.0
             live += joins[k]
-        table[k, :live] = f[:live]
+        if k <= top:
+            table[k, :live] = f[:live]
         if k == 0:
             break
         if k % 2 == 0:
@@ -224,22 +228,25 @@ def _miller_columns(x: np.ndarray, start: np.ndarray) -> np.ndarray:
 
 def _miller_gather(run_x, run_start, order, run) -> np.ndarray:
     """``J_order`` at ``run_x[run]`` from the recurrence started at
-    ``run_start[run]``, over broadcast index arrays ``order`` and ``run``."""
+    ``run_start[run]``, over broadcast index arrays ``order`` and ``run``.
+    The recurrence tables store no row above the highest order gathered."""
     shape = np.broadcast_shapes(np.shape(order), np.shape(run))
-    if run_x.size == 0:
+    if run_x.size == 0 or 0 in shape:
         return np.zeros(shape)
+    top = int(np.max(order, initial=0))
     by_start = np.argsort(-run_start, kind="stable")
     column = np.empty_like(by_start)
     column[by_start] = np.arange(by_start.size)
     column = column[run]
     x, start = run_x[by_start], run_start[by_start]
-    values = np.zeros(shape)
     lo = 0
-    while lo < x.size:  # at most _MILLER_ENTRIES table entries at a time
-        hi = lo + max(1, _MILLER_ENTRIES // (int(start[lo]) + 1))
-        table = _miller_columns(x[lo:hi], start[lo:hi])
-        if lo == 0 and hi >= x.size:
-            return np.asarray(table[order, column])
+    while lo < x.size:  # at most _MILLER_ENTRIES stored entries at a time
+        hi = lo + max(1, _MILLER_ENTRIES // (min(top, int(start[lo])) + 1))
+        table = _miller_columns(x[lo:hi], start[lo:hi], top)
+        if lo == 0:
+            if hi >= x.size:
+                return np.asarray(table[order, column])
+            values = np.zeros(shape)
         mine = (column >= lo) & (column < hi)
         np.copyto(values, table[np.where(mine, order, 0), np.where(mine, column - lo, 0)], where=mine)
         lo = hi

@@ -20,8 +20,8 @@ import numpy as np
 
 from .ladder import DressedState, TransitionRecord, _photon_frequencies, _snapped
 from .ladder import allowed_final_indices, photon_frequency
-from .numerics import MAX_BESSEL_ARG, MAX_LADDER_INDEX, _bessel_j_orders, _checked_int, _ln_factorial
-from .numerics import bessel_j, bessel_truncation_order  # noqa: F401 (the latter for bench WRAPPED)
+from .numerics import MAX_BESSEL_ARG, MAX_LADDER_INDEX, _bessel_column, _bessel_j_orders, _checked_int
+from .numerics import _ln_factorial, bessel_j, bessel_truncation_order  # noqa: F401 (the last for bench WRAPPED)
 from .overlaps import ModelParams, _checked_index, _core_window, _overlap_column, overlap_log_abs
 
 __all__ = [
@@ -217,7 +217,7 @@ def _cells(coupling_ratio, drive_ratio):
     return c.ravel(), d.ravel(), c.shape
 
 
-_TABLE_TERMS = 1 << 16  # (channel, cell) pairs _ordered_sum holds at once
+_TABLE_TERMS = 1 << 14  # (channel, cell) pairs _ordered_sum holds at once, about 55 B each
 
 
 def _ordered_sum(terms, first, last) -> np.ndarray:
@@ -226,8 +226,10 @@ def _ordered_sum(terms, first, last) -> np.ndarray:
     ``terms`` takes matching 1-D arrays of channels and cell indices.  A
     group of cells at a time, the terms fill a channel-by-cell table (zeros
     past ``last`` leave the nonnegative sums unchanged) that
-    ``np.add.accumulate`` adds down strictly in order, unlike ``np.sum``,
-    whose order depends on the array's shape.
+    ``np.add.accumulate`` adds down in place, strictly in order, unlike
+    ``np.sum``, whose order depends on the array's shape.  The group's
+    index arrays and terms, under 1 MB at ``_TABLE_TERMS``, are all the
+    scratch it holds.
     """
     total = np.zeros(first.shape)
     width = int((last - first).max(initial=0)) + 1
@@ -238,7 +240,7 @@ def _ordered_sum(terms, first, last) -> np.ndarray:
         live = k <= last[cells]
         table = np.zeros(k.shape)
         table[live] = terms(k[live], np.broadcast_to(cells, k.shape)[live])
-        total[cells] = np.add.accumulate(table, axis=0)[-1]
+        total[cells] = np.add.accumulate(table, axis=0, out=table)[-1]
     return total
 
 
@@ -376,13 +378,21 @@ def semiclassical_partial(
     return bessel_j(p, x) ** 2 * factor**3
 
 
-_BESSEL_TABLE_ENTRIES = 1 << 20  # J values semiclassical_mesh tabulates at once
+_BESSEL_TABLE_ENTRIES = 1 << 17  # J values semiclassical_mesh tabulates at once (1 MiB)
 
 
 def _semiclassical_gamma_g(x, d, p_min, p_hi) -> np.ndarray:
     """gamma_g of cells with Bessel arguments ``x`` and drive ratios ``d``,
-    summed over channels ``p_min .. p_hi`` from one Bessel table per cell."""
-    table = _bessel_j_orders(np.arange(int(p_hi.max(initial=0)) + 1)[:, None], x)
+    summed over channels ``p_min .. p_hi`` from one Bessel table per cell.
+    One cell, as :func:`semiclassical_totals` asks, reads its orders up to the
+    cover from the column :func:`bessel_j` caches per argument."""
+    orders = np.arange(int(p_hi.max(initial=0)) + 1)
+    if x.size == 1:
+        column = _bessel_column(float(x[0]))
+        past = _bessel_j_orders(orders[column.size :], x[0])
+        table = np.concatenate([column[: orders.size], past])[:, None]
+    else:
+        table = _bessel_j_orders(orders[:, None], x)
 
     def terms(p, i):
         return table[p.astype(np.int64), i] ** 2 * np.maximum(0.0, p * d[i] - 1.0) ** 3

@@ -474,6 +474,18 @@ class TestWindows:
         assert (max_jumps == 3) == any(runs[0][0]["truncated"])
         assert (start.branch == "g") == (runs[0][0]["row_start"][-1] == 0)
 
+    def test_ids_in_one_window_are_one_slice(self, monkeypatch):
+        block = cascade_module._BLOCK
+        spread = np.array([3, block, 2 * block + 1, 2 * block + 5])
+        assert cascade_module._windows(spread) == [slice(0, 1), slice(1, 2), slice(2, 4)]
+
+        def no_unique(*args, **kwargs):
+            raise AssertionError("one window needs no cut search")
+
+        monkeypatch.setattr(np, "unique", no_unique)
+        assert cascade_module._windows(np.array([block + 3, block + 9, 2 * block - 1])) == [slice(0, 3)]
+        assert cascade_module._windows(np.array([], dtype=np.int64)) == []
+
 
 class TestMemory:
     """tracemalloc peaks against the sampler's design.  A jump keeps 12 bytes
@@ -503,9 +515,9 @@ class TestMemory:
         assert peak <= bound, (peak, bound)
 
     def test_spectrum_and_log_peak_does_not_grow_with_rows(self, tmp_path, monkeypatch):
-        # Both read the rows a block at a time: nothing per row, about 1 kB a
-        # block row for the log's text (cells and their row matrix), and small
-        # per-channel tables.  Short blocks make one row-sized array (2.2 MB at
+        # Both read the rows a block at a time: nothing per row, under 1 kB a
+        # block row for the log's text (its slot matrix and one float column's
+        # digits), and small per-channel tables.  Short blocks make one row-sized array (2.2 MB at
         # 8 bytes a row) break the bound.
         monkeypatch.setattr(cascade_module, "_BLOCK", 1 << 10)
         small = sample_ensemble(self.START, self.PARAMS, seed=1, n_trajectories=10)

@@ -290,6 +290,28 @@ class TestMillerBessel:
             for column, x in zip(table.T, cells[::-1].tolist()):
                 assert column.tolist() == [bessel_j(p, x) for p in range(-5, top)], x
 
+    def test_capped_table_is_the_top_of_the_full_one(self, monkeypatch):
+        # Descending arguments, so the starts do not increase.  The three smaller
+        # ones pass 2**500 on their way down from the start, so they are rescaled.
+        x = np.array([250.0, 30.0, 3.3, 1.0, 1e-3])
+        start = numerics._miller_cover(x) + np.ceil(8.0 * x ** (1.0 / 3.0)).astype(np.int64) + 16
+        full = numerics._miller_columns(x, start, int(start[0]))
+        assert full.shape == (start[0] + 1, x.size)
+        for top in (0, 7, 87, int(start[1]), int(start[0]) + 5):
+            capped = numerics._miller_columns(x, start, top)
+            assert capped.shape == (min(top, int(start[0])) + 1, x.size)
+            assert np.array_equal(capped.view(np.uint64), full[: top + 1].view(np.uint64)), top
+        monkeypatch.setattr(numerics, "_RESCALE", math.inf)  # the rescale never fires
+        with np.errstate(over="ignore", invalid="ignore"):
+            unscaled = numerics._miller_columns(x, start, 87)
+        assert not np.isfinite(unscaled).all(axis=0)[2:].any()
+
+    def test_tables_in_parts_equal_one_table(self, monkeypatch):
+        xs, orders = np.linspace(0.5, 40.0, 23), np.arange(90)[:, None]
+        whole = _bessel_j_orders(orders, xs)
+        monkeypatch.setattr(numerics, "_MILLER_ENTRIES", 500)  # a few columns a table
+        assert np.array_equal(_bessel_j_orders(orders, xs).view(np.uint64), whole.view(np.uint64))
+
     def test_argument_bound_and_column_cache(self):
         assert math.isfinite(bessel_j(3, MAX_BESSEL_ARG))
         with pytest.raises(ValueError):

@@ -1,6 +1,7 @@
 """Transition rates: partial/total, closed forms, semiclassical, SI scale."""
 
 import math
+import tracemalloc
 from functools import partial
 
 import mpmath as mp
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 from polartls.ladder import DressedState, TransitionRecord, allowed_final_indices, photon_frequency
 from polartls.numerics import _bessel_j_orders, bessel_j, bessel_truncation_order
 from polartls.overlaps import ModelParams, _overlap_column
-from polartls import rates
+from polartls import numerics, rates
 from polartls.rates import (
     DEBYE,
     Gamma0Params,
@@ -409,6 +410,25 @@ class TestSemiclassicalTotals:
         totals = semiclassical_totals(n_bar, p)
         assert totals.gamma_g == pytest.approx(direct, abs=1e-12, rel=1e-10)
 
+    def test_repeated_calls_run_one_recurrence(self, monkeypatch):
+        calls = []
+        run = numerics._miller_columns
+        monkeypatch.setattr(numerics, "_miller_columns", lambda *args: calls.append(args) or run(*args))
+        numerics._bessel_column.cache_clear()
+        p = ModelParams.from_ratios(0.003, 0.3)
+        totals = [semiclassical_totals(1e4, p) for _ in range(3)]
+        assert len(calls) == 1
+        assert totals[0] == totals[1] == totals[2]
+
+    def test_single_cells_equal_the_mesh(self):
+        # At drive 1e-3 the channels start at p = 1000, past the cached column's cover.
+        couplings = np.array([0.0, 1e-5, 3e-3, 0.02])
+        drives = np.array([1e-3, 0.3, 1.7])
+        gamma_e, gamma_g = semiclassical_mesh(1e4, couplings[None, :], drives[:, None])
+        for (i, j), ge in np.ndenumerate(gamma_e):
+            p = ModelParams.from_ratios(float(couplings[j]), float(drives[i]))
+            assert tuple(semiclassical_totals(1e4, p)) == (ge, gamma_g[i, j])
+
     def test_excited_total_matches_exact_large_n(self):
         # semiclassical total vs brute-force summed exact rates
         p = ModelParams.from_ratios(0.001, 0.9)
@@ -519,6 +539,23 @@ class TestMeshKernels:
         after = (*semiclassical_mesh(1e4, c, d), suppression_e0_mesh(c * 400.0, d))
         for old, new in zip(before, after):
             assert np.array_equal(old, new)
+
+    def test_semiclassical_block_peak(self):
+        # One sweep block of 4,096 cells holds at most a Bessel table of 8 bytes
+        # per order and cell, the ordered sum's group (about 55 bytes a term) and
+        # 1 MiB besides; a recurrence table stored to its start breaks the bound.
+        couplings, drives = np.geomspace(1e-4, 1e-2, 128), np.linspace(0.11, 2.0, 32)
+        semiclassical_mesh(1e4, couplings[:2], drives[:1])  # ln k! and Bessel set-up
+        tracemalloc.start()
+        try:
+            semiclassical_mesh(1e4, couplings[None, :], drives[:, None])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        x = couplings.max() * math.sqrt(1e4) / drives.min()
+        p_hi = max(math.ceil(1.0 / drives.min()), math.ceil(1.0607 * x)) + 76
+        bound = 8 * (p_hi + 1) * couplings.size * drives.size + 64 * rates._TABLE_TERMS + (1 << 20)
+        assert peak <= bound, (peak, bound)
 
     @staticmethod
     def sequential_gamma_g(n_bar, c, d):

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -18,6 +19,7 @@ from polartls.cascade import sample_ensemble, write_trajectory_log
 from polartls.cli import main
 from polartls.ladder import DressedState
 from polartls.overlaps import ModelParams
+from polartls.rates import semiclassical_mesh, suppression_e0_mesh
 
 
 def rendered(values, nonfinite=None):
@@ -98,6 +100,51 @@ class TestCells:
                 for i, w, f in zip(ints.tolist(), ["βγ", "", "a"], floats.tolist())
             ).encode()
             assert got == want
+
+
+class TestBlockScratch:
+    """rows_text's scratch per block row.  The block holds a row in fixed-width
+    slots, at most about twice its text, and measuring one float column holds
+    about 25 uint64 lanes (200 bytes) a value at once; nothing else is kept per
+    row.  Cells copied per column, then copied again into the block, break it."""
+
+    ROWS = 4096
+
+    @staticmethod
+    def grid(mesh, couplings, drives):
+        """A sweep block as the CLI builds it: categorical axis cells and mesh values."""
+        rows = np.arange(TestBlockScratch.ROWS // couplings.size)
+        values = np.reshape(mesh(couplings[None, :], drives[rows, None]), (-1, rows.size * couplings.size))
+        return [_text.float_cells(drives).take(np.repeat(rows, couplings.size)),
+                _text.float_cells(couplings).take(np.tile(np.arange(couplings.size), rows.size)),
+                *values]
+
+    def block(self, row):
+        if row == "sweep":
+            return self.grid(suppression_e0_mesh, np.linspace(0.0, 4.15, 401), np.linspace(0.0514, 2.0, 401))
+        if row == "semiclassical":
+            return self.grid(lambda c, d: np.stack(semiclassical_mesh(9928.0, c, d)),
+                             np.geomspace(1.07e-4, 1.01e-2, 101), np.linspace(0.1098, 2.0, 101))
+        rng = np.random.default_rng(3)  # log: trajectory, jump, time, transition
+        trajectory = np.repeat(np.arange(70_000, 70_000 + self.ROWS), 3)[: self.ROWS]
+        tails = _text.str_cells(f"e,{n},g,{n + 1},{rng.random()!r}" for n in range(40))
+        return [trajectory, np.arange(self.ROWS) % 3, np.cumsum(rng.exponential(0.1, self.ROWS)),
+                tails.take(rng.integers(0, 40, self.ROWS))]
+
+    @pytest.mark.parametrize("row", ["sweep", "semiclassical", "log"])
+    def test_scratch_per_row(self, row):
+        columns = self.block(row)
+        _text.rows_text(columns, ",")  # the power and layout tables
+        tracemalloc.start()
+        try:
+            text = _text.rows_text(columns, ",")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        rows = text.tobytes().count(b"\n")
+        assert rows >= 0.95 * self.ROWS
+        scratch, width = (peak - text.nbytes) / rows, text.nbytes / rows
+        assert scratch <= 2 * width + 200, (scratch, width)
 
 
 class TestTrajectoryLogText:
