@@ -22,14 +22,15 @@ slot per column, whose bytes past each cell's text are :data:`_PAD`
 rows at a time, leaves the block's text.  Each column is measured first
 (a float column by its shortest digits and layouts), then writes its
 cells straight into its slot.  A categorical column is a :class:`Cells`
-table read through row codes, so its text is copied once, into the
-block.  The writers import this module when they run, so a command that
-writes no file never loads it, and the power and layout tables (about
-60 kB) are built by the first float rendered.
+table read through row codes: a slice of rows at a time, its text is
+gathered and copied into its slot, so the gather holds at most
+:data:`_COMPRESS_BYTES` besides.  The writers import this module when
+they run, so a command that writes no file never loads it, and the power
+and layout tables (about 60 kB) are built by the first float rendered.
 
 Cost, in blocks of 4,096 rows on a 2-core x86-64 machine: 1.0-1.6 us a
 CSV row of three or four columns (medians on a shared host), against
-0.8-1.3 us a float for ``repr`` and a join.  Besides its text, a block holds about 140-160 B of
+0.8-1.3 us a float for ``repr`` and a join.  Besides its text, a block holds about 120-150 B of
 scratch a row: the slot matrix, about as wide as the text, and the
 Schubfach pass over one float column, about 170 B a value.
 """
@@ -303,7 +304,12 @@ def _as_column(column, nonfinite) -> _Column:
         text, codes = column
 
         def fill(out):
-            out[:] = text if codes is None else text[codes]
+            if codes is None:
+                out[:] = text
+                return
+            step = max(1, _COMPRESS_BYTES // max(text.shape[1], 1))
+            for lo in range(0, len(codes), step):  # the gather's copy stays one slice
+                out[lo : lo + step] = text[codes[lo : lo + step]]
 
         return _Column(len(text) if codes is None else len(codes), text.shape[1], fill)
     column = np.asarray(column)

@@ -246,10 +246,8 @@ def _windows(ids: np.ndarray) -> list[slice]:
     """Slices of the ascending ``ids``, one per window of ``_BLOCK`` ids that holds any."""
     if not ids.size:
         return []
-    if int(ids[0]) // _BLOCK == int(ids[-1]) // _BLOCK:
-        return [slice(0, ids.size)]
     bounds = np.arange(int(ids[0]) // _BLOCK + 1, int(ids[-1]) // _BLOCK + 1) * _BLOCK
-    cuts = np.unique(np.searchsorted(ids, bounds)).tolist()
+    cuts = list(dict.fromkeys(np.searchsorted(ids, bounds).tolist()))  # ascending; empty windows repeat a cut
     return [slice(lo, hi) for lo, hi in zip([0, *cuts], [*cuts, ids.size])]
 
 

@@ -20,8 +20,8 @@ import numpy as np
 
 from .ladder import DressedState, TransitionRecord, _photon_frequencies, _snapped
 from .ladder import allowed_final_indices, photon_frequency
-from .numerics import MAX_BESSEL_ARG, MAX_LADDER_INDEX, _bessel_column, _bessel_j_orders, _checked_int
-from .numerics import _ln_factorial, bessel_j, bessel_truncation_order  # noqa: F401 (the last for bench WRAPPED)
+from .numerics import MAX_BESSEL_ARG, MAX_LADDER_INDEX, _bessel_j_orders, _checked_int, _ln_factorial
+from .numerics import bessel_j, bessel_truncation_order  # noqa: F401 (the latter for bench WRAPPED)
 from .overlaps import ModelParams, _checked_index, _core_window, _overlap_column, overlap_log_abs
 
 __all__ = [
@@ -383,16 +383,8 @@ _BESSEL_TABLE_ENTRIES = 1 << 17  # J values semiclassical_mesh tabulates at once
 
 def _semiclassical_gamma_g(x, d, p_min, p_hi) -> np.ndarray:
     """gamma_g of cells with Bessel arguments ``x`` and drive ratios ``d``,
-    summed over channels ``p_min .. p_hi`` from one Bessel table per cell.
-    One cell, as :func:`semiclassical_totals` asks, reads its orders up to the
-    cover from the column :func:`bessel_j` caches per argument."""
-    orders = np.arange(int(p_hi.max(initial=0)) + 1)
-    if x.size == 1:
-        column = _bessel_column(float(x[0]))
-        past = _bessel_j_orders(orders[column.size :], x[0])
-        table = np.concatenate([column[: orders.size], past])[:, None]
-    else:
-        table = _bessel_j_orders(orders[:, None], x)
+    summed over channels ``p_min .. p_hi`` from one Bessel table per cell."""
+    table = _bessel_j_orders(np.arange(int(p_hi.max(initial=0)) + 1)[:, None], x)
 
     def terms(p, i):
         return table[p.astype(np.int64), i] ** 2 * np.maximum(0.0, p * d[i] - 1.0) ** 3

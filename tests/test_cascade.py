@@ -474,17 +474,15 @@ class TestWindows:
         assert (max_jumps == 3) == any(runs[0][0]["truncated"])
         assert (start.branch == "g") == (runs[0][0]["row_start"][-1] == 0)
 
-    def test_ids_in_one_window_are_one_slice(self, monkeypatch):
+    def test_windows_cut_once_per_occupied_window(self):
         block = cascade_module._BLOCK
+        windows = cascade_module._windows
         spread = np.array([3, block, 2 * block + 1, 2 * block + 5])
-        assert cascade_module._windows(spread) == [slice(0, 1), slice(1, 2), slice(2, 4)]
-
-        def no_unique(*args, **kwargs):
-            raise AssertionError("one window needs no cut search")
-
-        monkeypatch.setattr(np, "unique", no_unique)
-        assert cascade_module._windows(np.array([block + 3, block + 9, 2 * block - 1])) == [slice(0, 3)]
-        assert cascade_module._windows(np.array([], dtype=np.int64)) == []
+        assert windows(spread) == [slice(0, 1), slice(1, 2), slice(2, 4)]
+        gapped = np.array([3, 4, 3 * block + 1])  # windows 1 and 2 hold no id
+        assert windows(gapped) == [slice(0, 2), slice(2, 3)]
+        assert windows(np.array([block + 3, block + 9, 2 * block - 1])) == [slice(0, 3)]
+        assert windows(np.array([], dtype=np.int64)) == []
 
 
 class TestMemory:

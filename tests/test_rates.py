@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from polartls.ladder import DressedState, TransitionRecord, allowed_final_indices, photon_frequency
 from polartls.numerics import _bessel_j_orders, bessel_j, bessel_truncation_order
 from polartls.overlaps import ModelParams, _overlap_column
-from polartls import numerics, rates
+from polartls import rates
 from polartls.rates import (
     DEBYE,
     Gamma0Params,
@@ -409,25 +409,6 @@ class TestSemiclassicalTotals:
         )
         totals = semiclassical_totals(n_bar, p)
         assert totals.gamma_g == pytest.approx(direct, abs=1e-12, rel=1e-10)
-
-    def test_repeated_calls_run_one_recurrence(self, monkeypatch):
-        calls = []
-        run = numerics._miller_columns
-        monkeypatch.setattr(numerics, "_miller_columns", lambda *args: calls.append(args) or run(*args))
-        numerics._bessel_column.cache_clear()
-        p = ModelParams.from_ratios(0.003, 0.3)
-        totals = [semiclassical_totals(1e4, p) for _ in range(3)]
-        assert len(calls) == 1
-        assert totals[0] == totals[1] == totals[2]
-
-    def test_single_cells_equal_the_mesh(self):
-        # At drive 1e-3 the channels start at p = 1000, past the cached column's cover.
-        couplings = np.array([0.0, 1e-5, 3e-3, 0.02])
-        drives = np.array([1e-3, 0.3, 1.7])
-        gamma_e, gamma_g = semiclassical_mesh(1e4, couplings[None, :], drives[:, None])
-        for (i, j), ge in np.ndenumerate(gamma_e):
-            p = ModelParams.from_ratios(float(couplings[j]), float(drives[i]))
-            assert tuple(semiclassical_totals(1e4, p)) == (ge, gamma_g[i, j])
 
     def test_excited_total_matches_exact_large_n(self):
         # semiclassical total vs brute-force summed exact rates
