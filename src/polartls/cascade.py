@@ -454,6 +454,14 @@ def sample_ensemble(
     return _sample(start, params, seed, 0, n_trajectories, max_jumps)
 
 
+def _checked_bin_width(bin_width) -> float:
+    """``bin_width`` as a float, refused unless finite and > 0."""
+    bin_width = float(bin_width)
+    if not (math.isfinite(bin_width) and bin_width > 0.0):
+        raise ValueError(f"bin_width must be finite and > 0, got {bin_width!r}")
+    return bin_width
+
+
 def emission_spectrum(trajectories, bin_width: float) -> SpectrumHistogram:
     """Histogram of all emitted photon frequencies, normalized to count 1.
 
@@ -462,9 +470,7 @@ def emission_spectrum(trajectories, bin_width: float) -> SpectrumHistogram:
     frequency for tables built by this package).  ``trajectories`` is an
     :class:`Ensemble` or any iterable of :class:`Trajectory`.
     """
-    bin_width = float(bin_width)
-    if not (math.isfinite(bin_width) and bin_width > 0.0):
-        raise ValueError(f"bin_width must be > 0, got {bin_width!r}")
+    bin_width = _checked_bin_width(bin_width)
     if isinstance(trajectories, Ensemble):
         freqs, photons = trajectories._channel_freqs(), trajectories._channel_counts()
     else:

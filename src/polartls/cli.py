@@ -20,7 +20,9 @@ couplings are ratios to the bare transition frequency (``--omega-a`` is
 coupling/omega0, ``--omega-l`` is drive/omega0), rates come out in units
 of gamma0, and photon frequencies in units of omega0.
 
-Exit codes: 0 success, 1 compute or I/O error, 2 usage error.
+Exit codes: 0 success, 1 compute or I/O error, 2 usage error.  Each input
+limit is checked by the library function that owns it; a command calls that
+check through :func:`_usage` before it computes or writes anything.
 """
 
 from __future__ import annotations
@@ -39,10 +41,10 @@ from . import cascade
 from .cascade import RNG_SCHEME, _MAX_SEED, _write_atomically
 from .cascade import emission_spectrum, sample_ensemble, write_trajectory_log  # noqa: F401 (for bench WRAPPED)
 from .ladder import DressedState, allowed_final_indices
-from .numerics import MAX_BESSEL_ARG, _checked_int
-from .overlaps import MAX_LADDER_INDEX, ModelParams, _checked_index, _column_blocks
+from .numerics import _checked_int
+from .overlaps import ModelParams, _asymptotic_args, _check_reach, _checked_index, _column_blocks
 from .overlaps import overlap_bessel, overlap_exact
-from .rates import DEBYE, Gamma0Params, _check_drive_reach, _rounded_index, gamma0_si, partial_rate
+from .rates import DEBYE, Gamma0Params, _check_drive_reach, _semiclassical_args, gamma0_si, partial_rate
 from .rates import _candidate_final_indices, total_rate
 from .rates import absorption_g1_mesh, partial_e0_mesh, semiclassical_mesh, suppression_e0_mesh
 from .rates import semiclassical_totals
@@ -167,14 +169,6 @@ def _usage(check, flag: str, *args):
         raise _UsageError(f"bad {flag}: {exc}") from None
 
 
-def _check_bessel_arg(x: float, what: str) -> None:
-    """Bessel J is evaluated up to MAX_BESSEL_ARG, since its cost grows like x."""
-    if not x <= MAX_BESSEL_ARG:
-        raise _UsageError(
-            f"the Bessel argument {what} = {x:g} is past the limit {MAX_BESSEL_ARG:g}"
-        )
-
-
 def _check_column(n: int, params: ModelParams, *ells: int) -> None:
     """The window of ket ``n``'s overlap column, and the blocks that reading ``ells``
     stretches it to, must fit the size limit; checked before anything is computed."""
@@ -195,10 +189,11 @@ def _grid_blocks(config: SweepConfig):
     if not math.isfinite(phi):
         raise _UsageError(f"phi must be finite, got {phi!r}")
 
+    couplings = config.coupling_axis.values()
+    drives = config.drive_axis.values()
     values = ["value"]
-    if config.quantity in ("suppression_e0", "semiclassical_totals"):
-        _usage(_check_drive_reach, "--omega-l", config.drive_axis.values())
     if config.quantity == "suppression_e0":
+        _usage(_check_drive_reach, "--omega-l", drives)
         kernel = suppression_e0_mesh
     elif config.quantity == "absorption_g1":
         kernel = absorption_g1_mesh
@@ -209,17 +204,14 @@ def _grid_blocks(config: SweepConfig):
         kernel = partial(partial_e0_mesh, _usage(_checked_index, "n_prime", n_prime, "n_prime"))
     else:  # semiclassical_totals
         n_bar = float(_fixed_value(config, "n_bar", required=True))
-        n_round = _usage(_rounded_index, "n_bar", n_bar, 1)
-        c_max, d_min = config.coupling_axis.values().max(), config.drive_axis.values().min()
-        _check_bessel_arg(c_max * math.sqrt(n_round) / d_min, "omega_a sqrt(n_bar) / omega_l")
+        # the largest Bessel argument is the largest coupling's, at some drive
+        _usage(_semiclassical_args, "n_bar/--omega-a/--omega-l", n_bar, couplings.max(), drives)
         kernel = partial(semiclassical_mesh, n_bar)
         values = ["gamma_e", "gamma_g"]
     columns = ["omega_L_over_omega0", "Omega_a_over_omega0", *values]
 
     from . import _text  # only the writers load it
 
-    couplings = config.coupling_axis.values()
-    drives = config.drive_axis.values()
     coupling_cells = _text.float_cells(couplings)
     drive_cells = _text.float_cells(drives)
     step = max(1, _SWEEP_BLOCK_CELLS // couplings.size)
@@ -252,16 +244,7 @@ def _overlap_compare_blocks(config: SweepConfig):
     for sqrt_n in config.sqrt_n_axis.values():
         n = round(float(sqrt_n) ** 2)
         for p in p_values:
-            if n - p < 0 or n < 1:
-                raise _UsageError(
-                    f"sqrt_n={float(sqrt_n):g} gives n={n}, too small for p={p}"
-                )
-            if abs(p) > n / 10:
-                raise _UsageError(
-                    f"|p| <= n/10 required for the asymptotic route; "
-                    f"got p={p} at n={n}"
-                )
-            _check_bessel_arg(coupling * math.sqrt(n) / drive, "omega_a sqrt(n) / omega_l")
+            _usage(_asymptotic_args, "--sqrt-n/--p-values/--fix", n, p, params)
             points.append((float(sqrt_n), n, p))
     for _, n, p in points:
         _check_column(n - p, params, n)  # overlap_exact(n, n - p) reads ket n - p at n
@@ -391,52 +374,35 @@ def _parse_p_values(text: str) -> tuple[int, ...]:
         raise _UsageError(f"p values must be comma-separated integers, got {text!r}") from None
 
 
-def _resolve(flag_value, file_settings: dict, key: str, default=None):
-    if flag_value is not None:
-        return flag_value
-    if key in file_settings:
-        return file_settings[key]
-    return default
-
-
 def _cmd_sweep(args) -> int:
-    file_settings = _read_config_file(args.config) if args.config else {}
-
-    quantity = _resolve(args.quantity, file_settings, "quantity")
-    if quantity is None:
+    # Flags override the file; the argparse dests are the _CONFIG_KEYS.
+    settings = _read_config_file(args.config) if args.config else {}
+    file_fixes = settings.pop("fix", [])
+    settings.update((key, value) for key, value in vars(args).items()
+                    if key in _CONFIG_KEYS and key != "fix" and value is not None)
+    if "quantity" not in settings:
         raise _UsageError("sweep needs a quantity (--quantity or config file)")
-    output = _resolve(args.output, file_settings, "output")
-    if output is None:
+    if "output" not in settings:
         raise _UsageError("sweep needs an output path (--output or config file)")
-    fmt = _resolve(args.format, file_settings, "format", "csv")
-
-    needs_grid = quantity != "overlap_compare"
-    coupling_spec = _resolve(
-        args.omega_a, file_settings, "omega_a",
-        _DEFAULT_COUPLING_AXIS if needs_grid else None,
-    )
-    drive_spec = _resolve(
-        args.omega_l, file_settings, "omega_l",
-        _DEFAULT_DRIVE_AXIS if needs_grid else None,
-    )
-    sqrt_n_spec = _resolve(
-        args.sqrt_n, file_settings, "sqrt_n",
-        _DEFAULT_SQRT_N_AXIS if quantity == "overlap_compare" else None,
-    )
-    p_spec = _resolve(args.p_values, file_settings, "p_values", _DEFAULT_P_VALUES)
-
-    # later entries win: flags override the file
-    fixed = dict(map(_parse_fix_entry, [*file_settings.get("fix", []), *(args.fix or [])]))
+    if settings["quantity"] == "overlap_compare":
+        settings.setdefault("sqrt_n", _DEFAULT_SQRT_N_AXIS)
+    else:
+        settings.setdefault("omega_a", _DEFAULT_COUPLING_AXIS)
+        settings.setdefault("omega_l", _DEFAULT_DRIVE_AXIS)
+    axes = {key: AxisSpec.parse(settings[key]) if settings.get(key) else None
+            for key in ("omega_a", "omega_l", "sqrt_n")}
+    p_spec = settings.get("p_values", _DEFAULT_P_VALUES)
 
     config = SweepConfig(
-        quantity=str(quantity),
-        output=str(output),
-        fmt=str(fmt),
-        coupling_axis=AxisSpec.parse(coupling_spec) if coupling_spec else None,
-        drive_axis=AxisSpec.parse(drive_spec) if drive_spec else None,
-        sqrt_n_axis=AxisSpec.parse(sqrt_n_spec) if sqrt_n_spec else None,
+        quantity=str(settings["quantity"]),
+        output=str(settings["output"]),
+        fmt=str(settings.get("format", "csv")),
+        coupling_axis=axes["omega_a"],
+        drive_axis=axes["omega_l"],
+        sqrt_n_axis=axes["sqrt_n"],
         p_values=_parse_p_values(p_spec) if p_spec else (),
-        fixed=fixed,
+        # later entries win: flags override the file
+        fixed=dict(map(_parse_fix_entry, [*file_fixes, *(args.fix or [])])),
     )
     count = run_sweep(config)
     print(f"wrote {count} rows ({config.quantity}) to {config.output}")
@@ -461,10 +427,7 @@ def _state_from_args(args, params: ModelParams) -> DressedState:
     state = _usage(DressedState, "--n", args.branch, args.n)
     finals = allowed_final_indices(state, params)
     reach = max(state.n, finals[-1] if finals else 0)
-    if reach > MAX_LADDER_INDEX:
-        raise _UsageError(f"({state.branch},{state.n}) at --omega-l {args.omega_l:g} reaches "
-                          f"ladder index {reach}, past the limit {MAX_LADDER_INDEX}; "
-                          "raise --omega-l or lower --n")
+    _usage(_check_reach, "--n/--omega-l", reach)
     _check_column(reach, params)
     channels = _candidate_final_indices(state, params)  # a far-detuned (g,n) reads off its window
     _check_column(state.n, params, *channels[:1], *channels[-1:])
@@ -495,14 +458,9 @@ def _cmd_overlap(args) -> int:
     if args.method == "bessel":
         if args.same:
             raise _UsageError("the asymptotic route only handles opposite ladders")
-        _check_bessel_arg(
-            params.coupling_abs * math.sqrt(args.ell) / params.omega_drive,
-            "omega_a sqrt(ell) / omega_l",
-        )
-        # overlap_bessel checks n >= 1 and |p| <= n/10 before it computes.
-        value = _usage(
-            overlap_bessel, "--ell/--n", args.ell, args.ell - args.n, params, bra_sign
-        )
+        # overlap_bessel checks its inputs (_asymptotic_args) before it computes.
+        value = _usage(overlap_bessel, "--ell/--n/--omega-a/--omega-l",
+                       args.ell, args.ell - args.n, params, bra_sign)
     else:
         if not args.same:
             _check_column(args.n, params, args.ell)
@@ -518,12 +476,8 @@ def _cmd_overlap(args) -> int:
 
 def _cmd_semiclassical(args) -> int:
     params = _params_from_args(args)
-    n_round = _usage(_rounded_index, "--n-bar", args.n_bar, 1)
-    _usage(_check_drive_reach, "--omega-l", params.drive_ratio)
-    _check_bessel_arg(
-        params.coupling_ratio * math.sqrt(n_round) / params.drive_ratio,
-        "omega_a sqrt(n_bar) / omega_l",
-    )
+    _usage(_semiclassical_args, "--n-bar/--omega-a/--omega-l",
+           args.n_bar, params.coupling_ratio, params.drive_ratio)
     totals = semiclassical_totals(args.n_bar, params)
     print(f"gamma_e = {totals.gamma_e:.12g}  (gamma0 units)")
     print(f"gamma_g = {totals.gamma_g:.12g}  (gamma0 units)")
@@ -564,8 +518,7 @@ class _CascadeTally:
 
 
 def _cmd_cascade(args) -> int:
-    if not (math.isfinite(args.bin_width) and args.bin_width > 0.0):
-        raise _UsageError(f"--bin-width must be finite and > 0, got {args.bin_width!r}")
+    _usage(cascade._checked_bin_width, "--bin-width", args.bin_width)
     _usage(_checked_int, "--seed", args.seed, "seed", 0, _MAX_SEED)
     _usage(_checked_int, "--trajectories", args.trajectories, "trajectories", 0)
     _usage(_checked_int, "--max-jumps", args.max_jumps, "max_jumps", 1)
@@ -621,7 +574,7 @@ def _cmd_gamma0(args) -> int:
     if (args.dipole is None) == (args.dipole_debye is None):
         raise _UsageError("give exactly one of --dipole (C m) or --dipole-debye")
     dipole = args.dipole if args.dipole is not None else args.dipole_debye * DEBYE
-    value = gamma0_si(Gamma0Params(omega0=args.omega0, dipole=dipole))
+    value = gamma0_si(_usage(Gamma0Params, "--omega0/--dipole", args.omega0, dipole))
     print(f"gamma0 = {value:.12g}  1/s")
     return 0
 

@@ -10,7 +10,8 @@ sign-aware log-sum-exp reduction, and the two special functions the rates need:
 * integer-order Bessel J (:func:`bessel_j`, :func:`_bessel_j_orders`),
   by Miller's backward recurrence.
 
-Every integer input of the package passes :func:`_checked_int`.
+Every integer input of the package passes :func:`_checked_int`, and every
+Bessel argument :func:`_check_bessel_arg`.
 """
 
 from __future__ import annotations
@@ -163,6 +164,17 @@ _RESCALE = 2.0**500  # recurrences scale their carries by this exact power of tw
 _LN2 = math.log(2.0)
 
 
+def _check_bessel_arg(x) -> None:
+    """Refuse a Bessel argument (a number or an array) outside ``0 <= x <=
+    MAX_BESSEL_ARG``, since the recurrence costs O(x) steps; the one check of
+    that limit, made before any table is sized from ``x``."""
+    inside = (x >= 0.0) & (x <= MAX_BESSEL_ARG)
+    if not np.all(inside):
+        bad = float(np.extract(np.logical_not(inside), x)[0])
+        where = "below 0" if bad < 0.0 else f"past the limit {MAX_BESSEL_ARG:g} (MAX_BESSEL_ARG)"
+        raise ValueError(f"the Bessel argument x = {bad:g} is {where}")
+
+
 def bessel_truncation_order(x):
     """Smallest summation cutoff P with a negligible Bessel tail.
 
@@ -268,8 +280,7 @@ def _bessel_j_orders(orders, x) -> np.ndarray:
     """
     orders = np.asarray(orders)
     x = np.asarray(x, dtype=float)
-    if not np.all((x >= 0.0) & (x <= MAX_BESSEL_ARG)):
-        raise ValueError(f"Bessel J needs 0 <= x <= {MAX_BESSEL_ARG:g} (MAX_BESSEL_ARG)")
+    _check_bessel_arg(x)
     ux, xi = np.unique(x, return_inverse=True)
     xi = xi.reshape(x.shape)
     p = np.abs(orders).astype(np.int64)
@@ -327,8 +338,7 @@ def bessel_j(p: int, x: float) -> float:
     """
     p = _checked_int(p, "p", -MAX_BESSEL_ORDER, MAX_BESSEL_ORDER)
     x = float(x)
-    if not 0.0 <= x <= MAX_BESSEL_ARG:
-        raise ValueError(f"0 <= x <= {MAX_BESSEL_ARG:g} (MAX_BESSEL_ARG) required, got {x!r}")
+    _check_bessel_arg(x)
     column = _bessel_column(x)
     q = abs(p)
     value = float(column[q]) if q < column.size else float(_bessel_j_orders(q, x))

@@ -32,8 +32,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import MAX_LADDER_INDEX, PrecisionLossWarning, _LN2, _checked_int, _ln_factorial
-from .numerics import _recurrence, assoc_laguerre_sequence, bessel_j
+from .numerics import MAX_LADDER_INDEX, PrecisionLossWarning, _LN2, _check_bessel_arg, _checked_int
+from .numerics import _ln_factorial, _recurrence, assoc_laguerre_sequence, bessel_j
 from .numerics import _signed_log_sum_arrays, assoc_laguerre  # noqa: F401 (for bench WRAPPED)
 
 __all__ = [
@@ -185,6 +185,17 @@ _OVERLAP_ONE = OverlapValue(0.0, 0.0)
 
 def _checked_index(value, name: str) -> int:
     return _checked_int(value, name, 0, MAX_LADDER_INDEX)
+
+
+def _check_reach(index) -> None:
+    """Refuse a computed ladder index (a number or an array, nan included) past
+    MAX_LADDER_INDEX, before anything is sized from it; the one check of that
+    limit for indices the package derives.  Given indices pass :func:`_checked_index`."""
+    past = ~(np.asarray(index, dtype=float) <= MAX_LADDER_INDEX)
+    if past.any():
+        # seven significant digits print every index just past the limit exactly
+        raise ValueError(f"the computed ladder index {float(np.extract(past, index)[0]):.7g} is past "
+                         f"the limit {MAX_LADDER_INDEX} (MAX_LADDER_INDEX)")
 
 
 def _checked_sign(value, name: str) -> int:
@@ -371,6 +382,20 @@ def overlap_log_abs(ell: int, n: int, params: ModelParams) -> float:
     return float(_overlap_column([ell], n, params.beta)[0][0])
 
 
+def _asymptotic_args(n, p, params: ModelParams) -> tuple[int, int, float]:
+    """``(n, p, x)`` for :func:`overlap_bessel`, checked before anything is
+    computed: ``n >= 1``, ``|p| <= n/10``, both kets ``n`` and ``n - p`` ladder
+    indices, and ``x = coupling_abs * sqrt(n) / omega_drive`` inside the Bessel bound."""
+    n = _checked_index(n, "n")
+    p = _checked_int(p, "p")
+    if n < 1 or abs(p) > n / 10:
+        raise ValueError(f"the asymptotic overlap needs n >= 1 and |p| <= n/10, got n={n}, p={p}")
+    _checked_index(n - p, "n - p")
+    x = params.coupling_abs * math.sqrt(n) / params.omega_drive
+    _check_bessel_arg(x)
+    return n, p, x
+
+
 def overlap_bessel(
     n: int, p: int, params: ModelParams, bra_sign: int = +1
 ) -> OverlapValue:
@@ -380,17 +405,8 @@ def overlap_bessel(
     the magnitude is ``|J_p(x)|`` with
     ``x = coupling_abs * sqrt(n) / omega_drive``.
     """
-    n = _checked_index(n, "n")
-    if n < 1:
-        raise ValueError("n >= 1 required for the asymptotic overlap")
-    p = _checked_int(p, "p")
-    if abs(p) > n / 10:
-        raise ValueError(
-            f"|p| <= n/10 required for the asymptotic regime, got p={p}, n={n}"
-        )
+    n, p, x = _asymptotic_args(n, p, params)
     bra_sign = _checked_sign(bra_sign, "bra_sign")
-
-    x = params.coupling_abs * math.sqrt(n) / params.omega_drive
     value = bessel_j(p, x)
     if value == 0.0:
         return _OVERLAP_ZERO

@@ -20,9 +20,10 @@ import numpy as np
 
 from .ladder import DressedState, TransitionRecord, _photon_frequencies, _snapped
 from .ladder import allowed_final_indices, photon_frequency
-from .numerics import MAX_BESSEL_ARG, MAX_LADDER_INDEX, _bessel_j_orders, _checked_int, _ln_factorial
+from .numerics import _bessel_j_orders, _check_bessel_arg, _checked_int, _ln_factorial
 from .numerics import bessel_j, bessel_truncation_order  # noqa: F401 (the latter for bench WRAPPED)
-from .overlaps import ModelParams, _checked_index, _core_window, _overlap_column, overlap_log_abs
+from .overlaps import ModelParams, _check_reach, _checked_index, _core_window, _overlap_column
+from .overlaps import overlap_log_abs
 
 __all__ = [
     "RateTable",
@@ -123,9 +124,7 @@ class PhotonDistribution:
         if mean == 0.0:
             return cls.delta(0)
         lo, hi = map(int, _poisson_window(mean))
-        if hi > MAX_LADDER_INDEX:
-            raise ValueError(f"the Poisson window of mean {mean!r} reaches index {hi}, past the "
-                             f"limit {MAX_LADDER_INDEX} (MAX_LADDER_INDEX)")
+        _check_reach(hi)
         ks = np.arange(lo, hi + 1)
         log_pmf = ks * math.log(mean) - mean - _ln_factorial(ks)
         log_pmf -= log_pmf.max()
@@ -179,9 +178,7 @@ def _candidate_final_indices(state: DressedState, params: ModelParams) -> range:
     either end carries less than 2**-54 of a total (tests/test_rates.py)."""
     lo, hi = _core_window(state.n, params.beta)
     top = min(allowed_final_indices(state, params).stop - 1, hi)
-    if top > MAX_LADDER_INDEX:
-        raise ValueError(f"the channels of ({state.branch},{state.n}) reach ladder index {top}, "
-                         f"past the limit {MAX_LADDER_INDEX} (MAX_LADDER_INDEX)")
+    _check_reach(top)
     if 0 <= top < lo:
         # Only a far-detuned lower branch ends below the window, where the column
         # falls off downward: the nearest n - lo allowed channels carry the total.
@@ -246,16 +243,9 @@ def _ordered_sum(terms, first, last) -> np.ndarray:
 
 def _check_drive_reach(drive_ratio) -> None:
     """The closed-form tables run to ladder index ``floor(omega0/omega_L)``
-    of each cell; past MAX_LADDER_INDEX (or nan) that is refused before any
-    table is sized."""
+    at each drive ratio, which :func:`_check_reach` checks before any table is sized."""
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        reach = np.floor(_snapped(1.0 / drive_ratio))
-    past = ~(reach <= MAX_LADDER_INDEX)
-    if past.any():
-        raise ValueError(
-            f"omega0/omega_L reaches ladder index {reach[past][0]:.6g}, past the limit "
-            f"{MAX_LADDER_INDEX} (MAX_LADDER_INDEX)"
-        )
+        _check_reach(np.floor(_snapped(1.0 / drive_ratio)))
 
 
 def _poisson_window(lam):
@@ -392,17 +382,21 @@ def _semiclassical_gamma_g(x, d, p_min, p_hi) -> np.ndarray:
     return _ordered_sum(terms, p_min, p_hi)
 
 
+def _semiclassical_args(n_bar: float, coupling_ratio, drive_ratio):
+    """``(n_round, x)`` for :func:`semiclassical_mesh`, checked before any table is
+    sized: ``n_round = [n_bar] >= 1``, the drive reach (:func:`_check_drive_reach`)
+    and ``x = coupling_ratio sqrt(n_round) / drive_ratio`` inside the Bessel bound."""
+    n_round = _rounded_index(n_bar, minimum=1)
+    _check_drive_reach(drive_ratio)
+    x = coupling_ratio * math.sqrt(n_round) / drive_ratio
+    _check_bessel_arg(x)
+    return n_round, x
+
+
 def semiclassical_mesh(n_bar: float, coupling_ratio, drive_ratio):
     """:func:`semiclassical_totals` over broadcast ratio arrays: ``(gamma_e, gamma_g)``."""
-    n_round = _rounded_index(n_bar, minimum=1)
     c, d, shape = _cells(coupling_ratio, drive_ratio)
-    _check_drive_reach(d)
-    x = c * math.sqrt(n_round) / d
-    if np.any(x > MAX_BESSEL_ARG):  # before any table is sized from x
-        raise ValueError(
-            f"x = Omega_a sqrt([n_bar]) / omega_L must be <= {MAX_BESSEL_ARG:g} "
-            f"(MAX_BESSEL_ARG), got {float(x.max())!r}"
-        )
+    n_round, x = _semiclassical_args(n_bar, c, d)
     p_min = np.ceil(_snapped(1.0 / d))
     # Channels past p_hi leave every sum unchanged.  For p + 1 >= x the continued
     # fraction gives J_{p+1}(x)/J_p(x) <= x / (p + 1 + sqrt((p + 1)^2 - x^2)), at most
@@ -432,6 +426,10 @@ def semiclassical_totals(n_bar: float, params: ModelParams) -> SemiclassicalTota
 
 def gamma0_si(params: Gamma0Params) -> float:
     """Free-space decay rate in 1/s for a dipole in vacuum."""
-    return params.omega0**3 * params.dipole**2 / (
-        3.0 * REDUCED_PLANCK * VACUUM_PERMITTIVITY * math.pi * SPEED_OF_LIGHT**3
-    )
+    try:
+        return params.omega0**3 * params.dipole**2 / (
+            3.0 * REDUCED_PLANCK * VACUUM_PERMITTIVITY * math.pi * SPEED_OF_LIGHT**3
+        )
+    except OverflowError:
+        raise OverflowError(f"the gamma0 result overflows a double at omega0={params.omega0!r} "
+                            f"rad/s, dipole={params.dipole!r} C m") from None

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from polartls import cascade, cli, overlaps
+from polartls import cascade, cli, numerics, overlaps
 from polartls.cascade import RNG_SCHEME, emission_spectrum, sample_ensemble, write_trajectory_log
 from polartls.cli import AxisSpec, SweepConfig, main, run_sweep
 from polartls.ladder import DressedState, allowed_final_indices
@@ -502,6 +502,22 @@ class TestQueryCommands:
         assert "usage error" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("axis, p", [("2000,3000,2", "0"), ("999,1000,2", "-1")])
+    def test_ket_past_the_index_limit_is_usage_error(self, tmp_path, capsys, monkeypatch, axis, p):
+        # n = round(sqrt_n**2), then n - p, passes 10**6; omega_a = 0 leaves x = 0
+        def no_compute(*args, **kwargs):
+            raise AssertionError("computed past the ladder-index limit")
+
+        for module, name in [(overlaps, "_column"), (overlaps, "_cached_column"),
+                             (numerics, "_miller_columns")]:
+            monkeypatch.setattr(module, name, no_compute)
+        argv = ["sweep", "--quantity", "overlap_compare", "--sqrt-n", axis, "--p-values", p,
+                "--fix", "omega_a=0", "--fix", "omega_l=0.5", "--output", str(tmp_path / "s.csv")]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "--sqrt-n" in err and "1000000" in err
+        assert list(tmp_path.iterdir()) == []
+
     def test_rate_unreachable_channel(self, capsys):
         code = main(
             [
@@ -561,6 +577,20 @@ class TestQueryCommands:
         code = main(["gamma0", "--omega0", "2.4e15", "--dipole-debye", "1"])
         assert code == 0
         assert "648685.5" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "argv", [["--omega0", "-1", "--dipole", "1e-30"], ["--omega0", "nan", "--dipole", "1e-30"],
+                 ["--omega0", "1e15", "--dipole", "-1"]],
+    )
+    def test_gamma0_bad_input_is_usage_error(self, capsys, argv):
+        assert main(["gamma0", *argv]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: bad --omega0/--dipole: ")
+
+    def test_gamma0_overflow_is_one_line_error(self, capsys):
+        assert main(["gamma0", "--omega0", "1e200", "--dipole-debye", "1e200"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: the gamma0 result overflows a double") and err.count("\n") == 1
 
     def test_gamma0_needs_exactly_one_dipole(self, capsys):
         assert main(["gamma0", "--omega0", "1e15"]) == 2
@@ -877,7 +907,13 @@ class TestBesselArgumentLimit:
              "--fix", "omega_a=20", "--fix", "omega_l=1"],
         ],
     )
-    def test_past_the_limit_is_usage_error(self, tmp_path, capsys, argv):
+    def test_past_the_limit_is_usage_error(self, tmp_path, capsys, monkeypatch, argv):
+        def no_compute(*args, **kwargs):
+            raise AssertionError("computed past the Bessel limit")
+
+        monkeypatch.setattr(numerics, "_miller_columns", no_compute)
+        monkeypatch.setattr(overlaps, "_column", no_compute)
+        monkeypatch.setattr(overlaps, "_cached_column", no_compute)
         out = tmp_path / "s.csv"
         extra = ["--output", str(out)] if argv[0] == "sweep" else []
         assert main([*argv, *extra]) == 2

@@ -1,9 +1,11 @@
-"""One integer rule for every integer input, the names the benchmark uses, and
-no module-level import left unused.
+"""One integer rule for every integer input, one message per limit, the names
+the benchmark uses, and no module-level import left unused.
 
 Every integer input goes through ``numerics._checked_int``: a Python or
 numpy integer is accepted, a bool or a float (even an integral one) is a
-``ValueError``, and the range edges are exact.
+``ValueError``, and the range edges are exact.  Every entry that reaches the
+Bessel bound or a computed ladder index past 10**6 raises that limit's one
+message before it computes.
 """
 
 import ast
@@ -14,10 +16,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from polartls import cli
+from polartls import cli, numerics, overlaps, rates
 from polartls.cascade import sample_ensemble, sample_trajectory
 from polartls.ladder import DressedState, photon_frequency
-from polartls.numerics import assoc_laguerre, assoc_laguerre_sequence, bessel_j
+from polartls.numerics import _bessel_j_orders, assoc_laguerre, assoc_laguerre_sequence, bessel_j
 from polartls.overlaps import (
     ModelParams,
     displacement_matrix_oracle,
@@ -25,7 +27,8 @@ from polartls.overlaps import (
     overlap_exact,
     overlap_log_abs,
 )
-from polartls.rates import PhotonDistribution, partial_e0_mesh, partial_rate, semiclassical_partial
+from polartls.rates import PhotonDistribution, partial_e0_mesh, partial_rate, semiclassical_mesh
+from polartls.rates import semiclassical_partial, semiclassical_totals, suppression_rate_e0, total_rate
 
 P = ModelParams.from_ratios(0.5, 0.5)
 E2 = DressedState("e", 2)
@@ -78,6 +81,50 @@ def test_integer_rule(site):
         call(last_ok)
         with pytest.raises(error):
             call(first_bad)
+
+
+# x = 20 sqrt(10**6) / 1 = 2e4 at every entry, twice MAX_BESSEL_ARG.
+FAR = ModelParams.from_ratios(20.0, 1.0)
+BESSEL_ENTRIES = {
+    "bessel_j": lambda: bessel_j(0, 2e4),
+    "_bessel_j_orders": lambda: _bessel_j_orders([0, 1], [1.0, 2e4]),
+    "overlap_bessel": lambda: overlap_bessel(10**6, 0, FAR),
+    "semiclassical_partial": lambda: semiclassical_partial("e", 1e6, 0, FAR),
+    "semiclassical_totals": lambda: semiclassical_totals(1e6, FAR),
+    "semiclassical_mesh": lambda: semiclassical_mesh(1e6, [0.0, 20.0], 1.0),
+}
+# Each reaches ladder index 2,000,000: floor(omega0/omega_L) at omega_L = 5e-7 for
+# the closed forms and the e-branch channels, the top of the Poisson window here.
+FAR_DRIVE = 5e-7
+REACH_ENTRIES = {
+    "total_rate": lambda: total_rate(DressedState("e", 0), ModelParams.from_ratios(2e-3, FAR_DRIVE)),
+    "PhotonDistribution.poisson": lambda: PhotonDistribution.poisson(1944206.0),
+    "suppression_rate_e0": lambda: suppression_rate_e0(ModelParams.from_ratios(1.0, FAR_DRIVE)),
+    "semiclassical_totals": lambda: semiclassical_totals(100.0, ModelParams.from_ratios(1e-6, FAR_DRIVE)),
+}
+
+
+def _no_compute(*args, **kwargs):
+    raise AssertionError("computed past a limit")
+
+
+@pytest.mark.parametrize("entry", sorted(BESSEL_ENTRIES))
+def test_one_bessel_message(monkeypatch, entry):
+    monkeypatch.setattr(numerics, "_miller_columns", _no_compute)
+    with pytest.raises(ValueError) as refused:
+        BESSEL_ENTRIES[entry]()
+    assert str(refused.value) == "the Bessel argument x = 20000 is past the limit 10000 (MAX_BESSEL_ARG)"
+
+
+@pytest.mark.parametrize("entry", sorted(REACH_ENTRIES))
+def test_one_reach_message(monkeypatch, entry):
+    for module, name in [(overlaps, "_column"), (overlaps, "_cached_column"), (rates, "_ordered_sum"),
+                         (rates, "_semiclassical_gamma_g"), (numerics, "_miller_columns")]:
+        monkeypatch.setattr(module, name, _no_compute)
+    with pytest.raises(ValueError) as refused:
+        REACH_ENTRIES[entry]()
+    assert str(refused.value) == (
+        "the computed ladder index 2000000 is past the limit 1000000 (MAX_LADDER_INDEX)")
 
 
 def test_dressed_state_index_is_a_python_int():
