@@ -14,6 +14,7 @@ from .cascade import (
     SpectrumHistogram,
     Trajectory,
     emission_spectrum,
+    run_cascade,
     sample_ensemble,
     sample_trajectory,
     write_trajectory_log,
@@ -99,6 +100,7 @@ __all__ = [
     "overlap_log_abs",
     "partial_rate",
     "photon_frequency",
+    "run_cascade",
     "run_sweep",
     "sample_ensemble",
     "sample_trajectory",

@@ -27,14 +27,11 @@ reproduces it alone.
 *Memory.*  While sampling, a jump keeps 12 bytes: its time (float64) and
 its channel (int32).  An :class:`Ensemble` stores ``time``,
 ``from_state`` and ``channel`` (24 bytes a jump), ``row_start`` and
-``truncated`` per trajectory, and each state's channel-to-target map;
-``trajectory_id``, ``jump_index`` and ``to_state`` are derived from
-those on first use.  The spectrum and the log read the rows a block of
-``2**13`` at a time.  Since trajectory ``i`` depends only on
-``(seed, i)``, the ``cascade`` command samples, logs and tallies one
-window of ``2**13`` trajectory ids at a time and keeps 16 bytes a
-trajectory (jump count and last time) plus a photon count per channel,
-whatever the number of jumps.
+``truncated`` per trajectory, and each state's channel-to-target map.
+The spectrum and the log read the rows a block of ``2**13`` at a time.
+:func:`run_cascade`, the one pipeline from a start state to a log and a
+summary, holds no ensemble: it samples, logs and tallies one window of
+``2**13`` trajectory ids at a time and keeps 8 bytes a trajectory.
 """
 
 from __future__ import annotations
@@ -62,6 +59,7 @@ __all__ = [
     "sample_ensemble",
     "emission_spectrum",
     "write_trajectory_log",
+    "run_cascade",
 ]
 
 RNG_SCHEME = "philox4x64-inv-v2"
@@ -220,21 +218,11 @@ class Ensemble(Sequence):
         """Per row, the index of its channel among all kernels' live channels."""
         return self._channel_offsets[self.from_state[rows]] + self.channel[rows]
 
-    def _channel_freqs(self) -> np.ndarray:
-        """Photon frequency of each flat channel."""
-        return np.concatenate([kernel.table.photon_freq[kernel.live] for kernel in self.kernels])
-
-    def _channel_counts(self) -> np.ndarray:
-        """Rows of each flat channel, counted a block of rows at a time."""
-        counts = np.zeros(sum(kernel.live.size for kernel in self.kernels), dtype=np.int64)
-        for lo in range(0, self.time.size, _BLOCK):
-            counts += np.bincount(self._flat_channel(slice(lo, lo + _BLOCK)), minlength=counts.size)
-        return counts
-
     @property
     def photon_freq(self) -> np.ndarray:
         """Frequency of the photon emitted in each jump."""
-        return self._channel_freqs()[self._flat_channel()]
+        freqs = np.concatenate([kernel.table.photon_freq[kernel.live] for kernel in self.kernels])
+        return freqs[self._flat_channel()]
 
 
 def _frozen(array: np.ndarray) -> np.ndarray:
@@ -454,12 +442,41 @@ def sample_ensemble(
     return _sample(start, params, seed, 0, n_trajectories, max_jumps)
 
 
+class _BinWidthError(ValueError):
+    """A spectrum bin width refused: up front, or once the frequencies are known."""
+
+
 def _checked_bin_width(bin_width) -> float:
     """``bin_width`` as a float, refused unless finite and > 0."""
     bin_width = float(bin_width)
     if not (math.isfinite(bin_width) and bin_width > 0.0):
-        raise ValueError(f"bin_width must be finite and > 0, got {bin_width!r}")
+        raise _BinWidthError(f"bin_width must be finite and > 0, got {bin_width!r}")
     return bin_width
+
+
+class _PhotonTally:
+    """Photons counted on the live channels of each visited state, summed over the
+    ensembles added (the windows of one run, say); nothing is kept per row or per
+    trajectory."""
+
+    def __init__(self):
+        self.freqs: dict = {}  # state -> photon frequency of each live channel
+        self.photons: dict = {}  # state -> photons counted on each live channel
+
+    def add(self, ensemble: Ensemble) -> None:
+        """Count ``ensemble``'s rows by channel, a block of rows at a time."""
+        counts = np.zeros(sum(kernel.live.size for kernel in ensemble.kernels), dtype=np.int64)
+        for lo in range(0, ensemble.time.size, _BLOCK):
+            counts += np.bincount(ensemble._flat_channel(slice(lo, lo + _BLOCK)), minlength=counts.size)
+        counts = np.split(counts, ensemble._channel_offsets[1:])
+        for state, kernel, photons in zip(ensemble.states, ensemble.kernels, counts):
+            self.freqs.setdefault(state, kernel.table.photon_freq[kernel.live])
+            self.photons[state] = self.photons.get(state, 0) + photons
+
+    def spectrum(self, bin_width: float) -> SpectrumHistogram:
+        freqs = np.concatenate([np.empty(0), *self.freqs.values()])
+        photons = np.concatenate([np.empty(0, dtype=np.int64), *self.photons.values()])
+        return _binned_spectrum(freqs, photons, bin_width)
 
 
 def emission_spectrum(trajectories, bin_width: float) -> SpectrumHistogram:
@@ -472,14 +489,11 @@ def emission_spectrum(trajectories, bin_width: float) -> SpectrumHistogram:
     """
     bin_width = _checked_bin_width(bin_width)
     if isinstance(trajectories, Ensemble):
-        freqs, photons = trajectories._channel_freqs(), trajectories._channel_counts()
-    else:
-        freqs = np.array(
-            [rec.photon_freq for traj in trajectories for _, rec in traj.jumps],
-            dtype=float,
-        )
-        photons = np.ones(freqs.size, dtype=np.int64)
-    return _binned_spectrum(freqs, photons, bin_width)
+        tally = _PhotonTally()
+        tally.add(trajectories)
+        return tally.spectrum(bin_width)
+    freqs = np.array([rec.photon_freq for traj in trajectories for _, rec in traj.jumps], dtype=float)
+    return _binned_spectrum(freqs, np.ones(freqs.size, dtype=np.int64), bin_width)
 
 
 def _binned_spectrum(freqs: np.ndarray, photons: np.ndarray, bin_width: float) -> SpectrumHistogram:
@@ -488,25 +502,15 @@ def _binned_spectrum(freqs: np.ndarray, photons: np.ndarray, bin_width: float) -
     freqs, photons = freqs[emitted], photons[emitted]
     total = int(photons.sum())
     if total == 0:
-        return SpectrumHistogram(
-            bin_edges=np.empty(0),
-            weights=np.empty(0),
-            counts=np.empty(0, dtype=np.int64),
-            total_photons=0,
-        )
+        return SpectrumHistogram(np.empty(0), np.empty(0), np.empty(0, dtype=np.int64), 0)
     if freqs.max() > 2.0**53 * bin_width:  # past 2**53 a bin index is no longer exact
-        raise ValueError(f"bin_width {bin_width!r} puts a frequency past bin index 2**53")
+        raise _BinWidthError(f"bin_width {bin_width!r} puts a frequency past bin index 2**53")
     ks = np.rint(freqs / bin_width).astype(np.int64)
     k_lo, k_hi = int(ks.min()), int(ks.max())
     # Weighted sums of whole counts are exact in float64 below 2**53.
     counts = np.bincount(ks - k_lo, photons, minlength=k_hi - k_lo + 1).astype(np.int64)
     edges = (np.arange(k_lo, k_hi + 2) - 0.5) * bin_width
-    return SpectrumHistogram(
-        bin_edges=edges,
-        weights=counts / total,
-        counts=counts,
-        total_photons=total,
-    )
+    return SpectrumHistogram(edges, counts / total, counts, total)
 
 
 def _log_header(delimiter: str) -> bytes:
@@ -552,12 +556,68 @@ def write_trajectory_log(ensemble: Ensemble, path, delimiter: str = ",") -> None
     place, so ``path`` ends up either complete or untouched.
     """
     if not isinstance(ensemble, Ensemble):
-        raise TypeError(
-            f"write_trajectory_log takes the Ensemble from sample_ensemble, "
-            f"got {type(ensemble).__name__}"
-        )
+        raise TypeError(f"write_trajectory_log takes the Ensemble from sample_ensemble, "
+                        f"got {type(ensemble).__name__}")
     chunks = itertools.chain([_log_header(delimiter)], _log_chunks(ensemble, delimiter))
     _write_atomically(path, chunks, "trajectory log")
+
+
+def run_cascade(
+    start: DressedState,
+    params: ModelParams,
+    seed: int,
+    n_trajectories: int,
+    path,
+    max_jumps: int = 1000,
+    bin_width: float = 0.05,
+) -> dict:
+    """Sample ``n_trajectories`` cascades, log them to ``path`` and return their summary.
+
+    The log and spectrum are those of ``sample_ensemble(start, params, seed,
+    n_trajectories, max_jumps)``, but each window of ``2**13`` trajectory ids
+    is sampled, logged and tallied on its own and then dropped.  The inputs
+    are checked before anything is written, and the log is renamed onto
+    ``path`` only once the spectrum is binned, so a run that raises leaves no
+    file; a ``bin_width`` too fine for the sampled frequencies raises
+    ``_BinWidthError``, a ValueError.  The summary holds ``trajectories``,
+    ``truncated``, ``mean_jumps``, ``mean_total_time`` (1/gamma0 units, over
+    the trajectories that jump), ``total_photons``, ``spectrum_bin_width``,
+    ``rng`` and ``spectrum``, the ``[center, weight]`` pairs of bins with photons.
+    """
+    bin_width = _checked_bin_width(bin_width)
+    seed = _checked_int(seed, "seed", 0, _MAX_SEED)
+    count = _checked_int(n_trajectories, "n_trajectories", 0)
+    max_jumps = _checked_int(max_jumps, "max_jumps", 1)
+    last_times = np.empty(count)  # the first ``ended`` entries, by trajectory id
+    jumps = ended = truncated = 0
+    tally, spectrum = _PhotonTally(), None
+
+    def log():
+        nonlocal jumps, ended, truncated, spectrum
+        yield _log_header(",")
+        for lo in range(0, count, _BLOCK):
+            window = _sample(start, params, seed, lo, min(_BLOCK, count - lo), max_jumps)
+            last = window.time[window.row_start[1:][window.jump_counts > 0] - 1]
+            last_times[ended : ended + last.size] = last
+            ended += last.size
+            jumps += int(window.row_start[-1])
+            truncated += int(np.count_nonzero(window.truncated))
+            tally.add(window)
+            yield from _log_chunks(window, ",")
+        spectrum = tally.spectrum(bin_width)  # before the rename
+
+    _write_atomically(path, log(), "trajectory log")
+    return {
+        "trajectories": count,
+        "truncated": truncated,
+        "mean_jumps": jumps / count if count else 0.0,  # = np.mean of the counts: an exact sum
+        "mean_total_time": float(np.mean(last_times[:ended])) if ended else 0.0,
+        "total_photons": spectrum.total_photons,
+        "spectrum_bin_width": bin_width,
+        "rng": RNG_SCHEME,
+        "spectrum": [[float(center), float(weight)]
+                     for center, weight in zip(spectrum.bin_centers, spectrum.weights) if weight > 0.0],
+    }
 
 
 def _write_atomically(path, chunks, what: str) -> None:

@@ -37,8 +37,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from . import cascade
-from .cascade import RNG_SCHEME, _MAX_SEED, _write_atomically
+from .cascade import _MAX_SEED, _BinWidthError, _checked_bin_width, _write_atomically, run_cascade
 from .cascade import emission_spectrum, sample_ensemble, write_trajectory_log  # noqa: F401 (for bench WRAPPED)
 from .ladder import DressedState, allowed_final_indices
 from .numerics import _checked_int
@@ -86,7 +85,8 @@ class AxisSpec:
     def __post_init__(self):
         if self.scale not in ("linear", "log"):
             raise _UsageError(f"axis scale must be linear or log, got {self.scale!r}")
-        object.__setattr__(self, "steps", _usage(_checked_int, "axis", self.steps, "steps", 2))
+        # an axis is an array, so its length must fit an index
+        object.__setattr__(self, "steps", _usage(_checked_int, "axis", self.steps, "steps", 2, sys.maxsize))
         if not (math.isfinite(self.start) and math.isfinite(self.stop)):
             raise _UsageError("axis endpoints must be finite")
         if not self.start < self.stop:
@@ -161,11 +161,11 @@ _ALLOWED_FIXED = {
 }
 
 
-def _usage(check, flag: str, *args):
-    """``check(*args)``, with a ValueError turned into a usage error on ``flag``."""
+def _usage(check, flag: str, *args, refused=ValueError):
+    """``check(*args)``, with a ``refused`` error turned into a usage error on ``flag``."""
     try:
         return check(*args)
-    except ValueError as exc:
+    except refused as exc:
         raise _UsageError(f"bad {flag}: {exc}") from None
 
 
@@ -241,11 +241,12 @@ def _overlap_compare_blocks(config: SweepConfig):
     p_values = [_usage(_checked_int, "--p-values", p, "p") for p in config.p_values]
 
     points = []
-    for sqrt_n in config.sqrt_n_axis.values():
-        n = round(float(sqrt_n) ** 2)
+    for sqrt_n in config.sqrt_n_axis.values().tolist():
+        _usage(_check_reach, "--sqrt-n", sqrt_n * sqrt_n)  # a float product overflows to inf quietly
+        n = round(sqrt_n**2)
         for p in p_values:
             _usage(_asymptotic_args, "--sqrt-n/--p-values/--fix", n, p, params)
-            points.append((float(sqrt_n), n, p))
+            points.append((sqrt_n, n, p))
     for _, n, p in points:
         _check_column(n - p, params, n)  # overlap_exact(n, n - p) reads ket n - p at n
 
@@ -410,11 +411,8 @@ def _cmd_sweep(args) -> int:
 
 
 def _params_from_args(args) -> ModelParams:
-    phase = getattr(args, "phi", 0.0) or 0.0
-    return _usage(
-        ModelParams.from_ratios, "--omega-a/--omega-l/--phi",
-        args.omega_a, args.omega_l, phase,
-    )
+    return _usage(ModelParams.from_ratios, "--omega-a/--omega-l/--phi",
+                  args.omega_a, args.omega_l, args.phi or 0.0)
 
 
 def _state_from_args(args, params: ModelParams) -> DressedState:
@@ -484,89 +482,26 @@ def _cmd_semiclassical(args) -> int:
     return 0
 
 
-class _CascadeTally:
-    """What the ``cascade`` summary needs, gathered one window of trajectories
-    at a time: each trajectory's jump count and, for those that jump, its last
-    time (16 bytes a trajectory), and each visited state's photon count per
-    live channel.  No row is kept."""
-
-    def __init__(self, count: int):
-        self.jump_counts = np.empty(count, dtype=np.int64)
-        self.last_times = np.empty(count)  # the first ``ended`` entries, by trajectory id
-        self.ended = self.truncated = 0
-        self.freqs: dict = {}  # state -> photon frequency of each live channel
-        self.photons: dict = {}  # state -> photons counted on each live channel
-        self.spectrum = None
-
-    def add(self, window) -> None:
-        jumps, lo = window.jump_counts, window.first_stream
-        self.jump_counts[lo : lo + jumps.size] = jumps
-        last = window.time[window.row_start[1:][jumps > 0] - 1]
-        self.last_times[self.ended : self.ended + last.size] = last
-        self.ended += last.size
-        self.truncated += int(np.count_nonzero(window.truncated))
-        counts = np.split(window._channel_counts(), window._channel_offsets[1:])
-        for state, kernel, photons in zip(window.states, window.kernels, counts):
-            if state not in self.freqs:
-                self.freqs[state] = kernel.table.photon_freq[kernel.live]
-            self.photons[state] = self.photons.get(state, 0) + photons
-
-    def binned(self, bin_width: float):
-        freqs = np.concatenate([np.empty(0), *self.freqs.values()])
-        photons = np.concatenate([np.empty(0, dtype=np.int64), *self.photons.values()])
-        return cascade._binned_spectrum(freqs, photons, bin_width)
-
-
 def _cmd_cascade(args) -> int:
-    _usage(cascade._checked_bin_width, "--bin-width", args.bin_width)
+    _usage(_checked_bin_width, "--bin-width", args.bin_width)
     _usage(_checked_int, "--seed", args.seed, "seed", 0, _MAX_SEED)
     _usage(_checked_int, "--trajectories", args.trajectories, "trajectories", 0)
     _usage(_checked_int, "--max-jumps", args.max_jumps, "max_jumps", 1)
     params = _params_from_args(args)
     start = _state_from_args(args, params)
-    count, tally = args.trajectories, _CascadeTally(args.trajectories)
-
-    def log():
-        # Trajectory i depends only on (seed, i): each window of ids is sampled,
-        # tallied and logged on its own, then dropped.
-        yield cascade._log_header(",")
-        for lo in range(0, count, cascade._BLOCK):
-            window = cascade._sample(start, params, args.seed, lo,
-                                     min(cascade._BLOCK, count - lo), args.max_jumps)
-            tally.add(window)
-            yield from cascade._log_chunks(window, ",")
-        # Binned before the rename: a width it refuses leaves no log.
-        tally.spectrum = _usage(tally.binned, "--bin-width", args.bin_width)
-
-    _write_atomically(args.output, log(), "trajectory log")
-    spectrum = tally.spectrum
-    jump_counts, total_times = tally.jump_counts, tally.last_times[: tally.ended]
-    summary = {
-        "trajectories": count,
-        "truncated": tally.truncated,
-        "mean_jumps": float(np.mean(jump_counts)) if jump_counts.size else 0.0,
-        "mean_total_time": float(np.mean(total_times)) if total_times.size else 0.0,
-        "total_photons": spectrum.total_photons,
-        "spectrum_bin_width": args.bin_width,
-        "rng": RNG_SCHEME,
-        "spectrum": [
-            [float(center), float(weight)]
-            for center, weight in zip(spectrum.bin_centers, spectrum.weights)
-            if weight > 0.0
-        ],
-    }
+    # A width too fine for the sampled frequencies is refused only after sampling.
+    summary = _usage(run_cascade, "--bin-width", start, params, args.seed, args.trajectories,
+                     args.output, args.max_jumps, args.bin_width, refused=_BinWidthError)
     if args.format == "json":
         print(json.dumps(summary, indent=1))
-    else:
-        print(f"trajectories = {summary['trajectories']}")
-        print(f"truncated = {summary['truncated']}")
-        print(f"mean_jumps = {summary['mean_jumps']:.6g}")
-        print(f"mean_total_time = {summary['mean_total_time']:.6g}  (1/gamma0 units)")
-        print(f"total_photons = {summary['total_photons']}")
-        print(f"rng = {summary['rng']}")
-        print("spectrum (center omega/omega0, weight):")
-        for center, weight in summary["spectrum"]:
-            print(f"  {center:.6g}, {weight:.6g}")
+        return 0
+    print(f"trajectories = {summary['trajectories']}\ntruncated = {summary['truncated']}\n"
+          f"mean_jumps = {summary['mean_jumps']:.6g}\n"
+          f"mean_total_time = {summary['mean_total_time']:.6g}  (1/gamma0 units)\n"
+          f"total_photons = {summary['total_photons']}\nrng = {summary['rng']}\n"
+          "spectrum (center omega/omega0, weight):")
+    for center, weight in summary["spectrum"]:
+        print(f"  {center:.6g}, {weight:.6g}")
     return 0
 
 
@@ -579,22 +514,19 @@ def _cmd_gamma0(args) -> int:
     return 0
 
 
-def _add_model_flags(parser: argparse.ArgumentParser, required: bool = True) -> None:
-    parser.add_argument(
-        "--omega-a", type=float, required=required,
-        help="coupling magnitude over omega0",
-    )
-    parser.add_argument(
-        "--omega-l", type=float, required=required,
-        help="drive frequency over omega0",
-    )
-    parser.add_argument(
-        "--phi", type=float, default=0.0, help="coupling phase in radians"
-    )
+def _add_model_flags(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--omega-a", type=float, required=True, help="coupling magnitude over omega0")
+    parser.add_argument("--omega-l", type=float, required=True, help="drive frequency over omega0")
+    parser.add_argument("--phi", type=float, default=0.0, help="coupling phase in radians")
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # one stderr line, like every other refusal
+        raise _UsageError(f"{self.prog}: {message}")
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="polartls",
         description=(
             "Emission and absorption rates of a longitudinally driven polar "
@@ -683,13 +615,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
+        args = _build_parser().parse_args(argv)
+        with np.errstate(over="raise", invalid="raise", divide="raise"):  # FloatingPointError: exit 1
+            return args.handler(args)
+    except SystemExit as exc:  # --help
         return int(exc.code or 0)
-    try:
-        return args.handler(args)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2

@@ -280,6 +280,9 @@ def _column_blocks(ells: np.ndarray, n: int, beta: float):
     that :func:`_overlap_column` computes to read it, the window stretched on the
     index's side by ``2**k - 1`` widths for the least ``k`` that reaches it (cut at 0),
     so reading every index up to a distance d costs O(d).  Refuses _MAX_COLUMN entries."""
+    if not beta * beta <= _MAX_COLUMN:  # the window is wider; refused before its ints pass int64
+        raise ValueError(f"the overlap column of ket {n} at beta={beta:g} spans more than beta**2 = "
+                         f"{beta * beta:.7g} entries, past the limit {_MAX_COLUMN}")
     lo, hi = _core_window(n, beta)
     width = hi - lo + 1
     widths = np.maximum(0, -(-np.maximum(lo - ells, ells - hi) // width))  # whole widths off

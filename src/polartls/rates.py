@@ -425,11 +425,14 @@ def semiclassical_totals(n_bar: float, params: ModelParams) -> SemiclassicalTota
 
 
 def gamma0_si(params: Gamma0Params) -> float:
-    """Free-space decay rate in 1/s for a dipole in vacuum."""
+    """Free-space decay rate in 1/s for a dipole in vacuum; OverflowError past a double's range."""
     try:
-        return params.omega0**3 * params.dipole**2 / (
+        value = params.omega0**3 * params.dipole**2 / (
             3.0 * REDUCED_PLANCK * VACUUM_PERMITTIVITY * math.pi * SPEED_OF_LIGHT**3
         )
-    except OverflowError:
-        raise OverflowError(f"the gamma0 result overflows a double at omega0={params.omega0!r} "
-                            f"rad/s, dipole={params.dipole!r} C m") from None
+    except OverflowError:  # a power past the range raises, a product past it is inf
+        value = math.inf
+    if value < math.inf:
+        return value
+    raise OverflowError(f"the gamma0 result overflows a double at omega0={params.omega0!r} "
+                        f"rad/s, dipole={params.dipole!r} C m")

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from polartls import cascade, cli, numerics, overlaps
-from polartls.cascade import RNG_SCHEME, emission_spectrum, sample_ensemble, write_trajectory_log
+from polartls.cascade import RNG_SCHEME, emission_spectrum, run_cascade, sample_ensemble, write_trajectory_log
 from polartls.cli import AxisSpec, SweepConfig, main, run_sweep
 from polartls.ladder import DressedState, allowed_final_indices
 from polartls.rates import (
@@ -65,6 +65,14 @@ class TestAxisSpec:
             AxisSpec.parse("0,1,1")
         with pytest.raises(_UsageError):
             AxisSpec.parse("0,10,5,log")
+
+    def test_steps_must_fit_an_array_length(self):
+        from polartls.cli import _UsageError
+
+        assert AxisSpec.parse(f"0,1,{2**63 - 1}").steps == 2**63 - 1
+        # numpy's linspace wrapped 2**63 steps to an empty array and raised IndexError
+        with pytest.raises(_UsageError, match="steps must be an integer >= 2 and <= "):
+            AxisSpec.parse(f"0,1,{2**63}")
 
 
 class TestSweepCommand:
@@ -518,6 +526,16 @@ class TestQueryCommands:
         assert "--sqrt-n" in err and "1000000" in err
         assert list(tmp_path.iterdir()) == []
 
+    def test_sqrt_n_past_a_double_when_squared_is_usage_error(self, tmp_path, capsys):
+        # round(float(sqrt_n) ** 2) raised OverflowError (exit 1) before any limit was compared
+        argv = ["sweep", "--quantity", "overlap_compare", "--sqrt-n", "1e200,1e201,2", "--p-values", "0",
+                "--fix", "omega_a=1", "--fix", "omega_l=0.5", "--output", str(tmp_path / "s.csv")]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: bad --sqrt-n: ") and "past the limit 1000000" in err
+        assert err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
+
     def test_rate_unreachable_channel(self, capsys):
         code = main(
             [
@@ -590,6 +608,13 @@ class TestQueryCommands:
     def test_gamma0_overflow_is_one_line_error(self, capsys):
         assert main(["gamma0", "--omega0", "1e200", "--dipole-debye", "1e200"]) == 1
         err = capsys.readouterr().err
+        assert err.startswith("error: the gamma0 result overflows a double") and err.count("\n") == 1
+
+    def test_gamma0_product_past_a_double_is_one_line_error(self, capsys):
+        # omega0**3 = 1e300 is finite; the products after it overflowed to inf quietly
+        assert main(["gamma0", "--omega0", "1e100", "--dipole", "1e10"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
         assert err.startswith("error: the gamma0 result overflows a double") and err.count("\n") == 1
 
     def test_gamma0_needs_exactly_one_dipole(self, capsys):
@@ -832,6 +857,48 @@ class TestStreamedCascade:
         assert peak <= bound, (peak, bound)
 
 
+class TestRunCascade(TestStreamedCascade):
+    """run_cascade, the pipeline the command calls, returns the library path's summary
+    and writes its log, over the same counts, starts and windows; it checks its
+    inputs before it writes anything."""
+
+    test_peak_memory_does_not_grow_with_jumps = None  # the command's bound, checked above
+
+    def _check(self, tmp_path, capsys, start, ratios, count, max_jumps=1000, bin_width=0.05):
+        want_log, want = _library_cascade(tmp_path, start, ratios, 31, count, max_jumps, bin_width)
+        got = run_cascade(start, ModelParams.from_ratios(*ratios), 31, count, tmp_path / "run.log",
+                          max_jumps, bin_width)
+        assert json.dumps(got, indent=1) == json.dumps(want, indent=1)  # keys, order and bits
+        assert (tmp_path / "run.log").read_bytes() == want_log
+        assert capsys.readouterr().out == ""
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["library.log", "run.log"]
+        return got
+
+    @pytest.mark.parametrize("bad", [
+        {"seed": -1}, {"seed": 2**64}, {"seed": 1.0}, {"n_trajectories": -1},
+        {"n_trajectories": 10.0}, {"max_jumps": 0}, {"max_jumps": True}, {"bin_width": 0.0},
+        {"bin_width": -0.05}, {"bin_width": math.nan}, {"bin_width": math.inf},
+    ])
+    def test_bad_input_is_refused_before_any_file(self, tmp_path, monkeypatch, bad):
+        def no_sample(*args, **kwargs):
+            raise AssertionError("sampled before the inputs were checked")
+
+        monkeypatch.setattr(cascade, "_sample", no_sample)
+        monkeypatch.setattr(cascade, "_write_atomically", no_sample)
+        inputs = {"seed": 1, "n_trajectories": 10, "max_jumps": 5, "bin_width": 0.05, **bad}
+        with pytest.raises(ValueError, match=next(iter(bad))):
+            run_cascade(DressedState("e", 5), ModelParams.from_ratios(0.5, 0.5),
+                        path=tmp_path / "run.log", **inputs)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_too_fine_a_bin_width_is_its_own_error_and_leaves_no_file(self, tmp_path):
+        # known only once the frequencies are sampled; the command maps this one error to exit 2
+        with pytest.raises(cascade._BinWidthError, match="past bin index 2"):
+            run_cascade(DressedState("e", 5), ModelParams.from_ratios(0.5, 0.5), 1, 10,
+                        tmp_path / "run.log", bin_width=1e-300)
+        assert list(tmp_path.iterdir()) == []
+
+
 class TestExitCodes:
     def test_usage_error_is_2(self):
         assert main(["sweep", "--quantity", "nonsense"]) == 2
@@ -869,6 +936,16 @@ class TestExitCodes:
         assert blocks == [1, 1]
         assert capsys.readouterr() == ("", "error: out of memory\n")
         assert list(tmp_path.iterdir()) == []
+
+    def test_parse_error_is_one_line(self, capsys):
+        assert main(["cascade", "--branch", "e", "--n", "2.5"]) == 2
+        assert capsys.readouterr() == (
+            "", "usage error: polartls cascade: argument --n: invalid int value: '2.5'\n")
+
+    def test_floating_point_overflow_is_one_line_error(self, capsys):
+        # the cubed frequency factor overflows; numpy warned and the totals printed as nan
+        assert main(["semiclassical", "--n-bar", "1", "--omega-a", "0", "--omega-l", "1e300"]) == 1
+        assert capsys.readouterr() == ("", "error: overflow encountered in power\n")
 
     def test_subprocess_entry_point(self, tmp_path):
         out = tmp_path / "s.csv"
@@ -987,6 +1064,9 @@ class TestColumnSizeLimit:
             ["overlap", "--ell", "0", "--n", "1000000", "--omega-a", "890", "--omega-l", "1"],
             # the one channel of this far-detuned lower level, 0, is read from that block too
             ["rate", "--branch", "g", "--n", "1000000", "--omega-a", "0.00089", "--omega-l", "1e-6"],
+            # windows whose ends pass int64 (beta = 8.4e18) or a double (beta**2 = inf)
+            ["overlap", "--ell", "0", "--n", "19", "--omega-a", str(2**64), "--omega-l", "1.1"],
+            ["rate", "--branch", "e", "--n", "11", "--omega-a", "1e300", "--omega-l", "1.4"],
         ],
     )
     def test_past_the_limit_is_usage_error(self, tmp_path, capsys, monkeypatch, argv):

@@ -601,6 +601,12 @@ class TestGamma0:
             ref = float(w**3 * d**2 / (3 * mp.pi * hbar * eps0 * c**3))
         assert gamma0_si(Gamma0Params(2.4e15, DEBYE)) == pytest.approx(ref, rel=1e-13)
 
+    @pytest.mark.parametrize("omega0, dipole", [(1e100, 1e10), (1e200, 1e-30), (1e15, 1e200)])
+    def test_result_past_a_double_raises(self, omega0, dipole):
+        # a power past the range raises by itself; a product past it would be inf
+        with pytest.raises(OverflowError, match="the gamma0 result overflows a double"):
+            gamma0_si(Gamma0Params(omega0, dipole))
+
     def test_validation(self):
         with pytest.raises(ValueError):
             Gamma0Params(omega0=-1.0, dipole=1e-30)
