@@ -24,21 +24,29 @@ rows at a time, leaves the block's text.  Each column is measured first
 cells straight into its slot.  A categorical column is a :class:`Cells`
 table read through row codes: a slice of rows at a time, its text is
 gathered and copied into its slot, so the gather holds at most
-:data:`_COMPRESS_BYTES` besides.  The writers import this module when
-they run, so a command that writes no file never loads it, and the power
-and layout tables (about 60 kB) are built by the first float rendered.
+:data:`_COMPRESS_BYTES` besides.
+
+The module also owns the one file writer, :func:`_write_atomically`:
+the bytes go to a temporary file beside the target, renamed onto it at
+the end.  The writers import this module when they run, so a command
+that writes no file never loads it.  Its tables are built on demand: the
+power table (617 entries) by the first float rendered, and a layout's
+row of template columns the first time a block uses that (sign, form,
+digit count) key, so a sweep builds a few dozen of the 816 rows.
 
 Cost, in blocks of 4,096 rows on a 2-core x86-64 machine: 1.0-1.6 us a
 CSV row of three or four columns (medians on a shared host), against
-0.8-1.3 us a float for ``repr`` and a join.  Besides its text, a block holds about 120-150 B of
-scratch a row: the slot matrix, about as wide as the text, and the
-Schubfach pass over one float column, about 170 B a value.
+0.8-1.3 us a float for ``repr`` and a join.  Once per process, the
+power table takes about 0.7 ms and a layout row about 5 us (all 816: 4 ms).
+Besides its text, a block holds about 120-150 B of scratch a row: the
+slot matrix, about as wide as the text, and the Schubfach pass over one
+float column, about 170 B a value.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
+import os
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -109,10 +117,20 @@ def _layout(sign: int, form: int, n: int) -> list[int]:
 
 
 @functools.cache
+def _layout_row(key: int) -> np.ndarray:
+    """The template columns layout ``key = (sign * _FORMS + form) * _DIGITS + n - 1`` keeps."""
+    sign, rest = divmod(key, _FORMS * _DIGITS)
+    form, n = divmod(rest, _DIGITS)
+    row = np.zeros(_TEMPLATE.size, dtype=bool)
+    row[_layout(sign, form, n + 1)] = True
+    row.flags.writeable = False  # shared by every caller
+    return row
+
+
+@functools.cache
 def _tables():
     """The power table ``g = g1 2**63 + g0`` with ``(g - 1) 2**r <= 10**-k < g 2**r``
-    and ``2**125 <= g < 2**126`` for k = _K_MIN .. _K_MAX, and the layout
-    table: the template columns each (sign, form, digit count) keeps."""
+    and ``2**125 <= g < 2**126`` for k = _K_MIN .. _K_MAX."""
     g1, g0 = [], []
     for k in range(_K_MIN, _K_MAX + 1):
         if k <= 0:
@@ -124,10 +142,7 @@ def _tables():
             g = (1 << (p.bit_length() + 125)) // p + 1
         g1.append(g >> 63)
         g0.append(g & ((1 << 63) - 1))
-    layouts = np.zeros((2 * _FORMS * _DIGITS, _TEMPLATE.size), dtype=bool)
-    for i, (s, f, n) in enumerate(itertools.product((0, 1), range(_FORMS), range(1, _DIGITS + 1))):
-        layouts[i, _layout(s, f, n)] = True
-    tables = np.array(g1, np.uint64), np.array(g0, np.uint64), layouts
+    tables = np.array(g1, np.uint64), np.array(g0, np.uint64)
     for table in tables:
         table.flags.writeable = False  # shared by every caller
     return tables
@@ -155,7 +170,7 @@ def _round_to_odd(g1, g0, cp):
 def _shortest(bits):
     """``(f, k)``: the shortest decimal ``f 10**k`` that reads back to each
     normal double ``bits``, closest to it, ties to even (Schubfach)."""
-    g1, g0, _ = _tables()
+    g1, g0 = _tables()
     biased = ((bits >> _U52) & np.uint64(0x7FF)).astype(np.int64)
     t = bits & _MASK52
     # Just above a power of two the next double down sits half as far away.
@@ -230,7 +245,6 @@ def _float_column(x, nonfinite) -> _Column:
         _POSITIONAL + 2 * (decpt < 1) + (exponent >= 100),
     )
     del decpt
-    layouts = _tables()[2]
     layout = (((bits >> _U63).astype(np.int16) * _FORMS + form) * _DIGITS + n - 1).astype(np.int16)
     del form, n
     # Subnormal, infinite and nan lanes take repr's text (or nonfinite's) in place of a layout.
@@ -239,8 +253,13 @@ def _float_column(x, nonfinite) -> _Column:
     del biased
     texts = [(nonfinite or {}).get(text, text).encode() for text in map(repr, x[fallback].tolist())]
     layout[fallback] = 0
-    # Only the columns some layout of the block keeps, and room for the texts.
-    used = layouts[np.bincount(layout, minlength=len(layouts)) > 0].any(axis=0)
+    # The block's layouts, numbered in key order; only the columns one of them
+    # keeps, and room for the texts.
+    keys = np.flatnonzero(np.bincount(layout))
+    layouts = np.array([_layout_row(key) for key in keys.tolist()], dtype=bool)
+    layouts = layouts.reshape(keys.size, _TEMPLATE.size)  # also for an empty block
+    layout = np.searchsorted(keys, layout).astype(np.int16)
+    used = layouts.any(axis=0)
     used[: max(map(len, texts), default=0)] = True
     columns = np.flatnonzero(used)
     slot = {col: j for j, col in enumerate(columns.tolist())}
@@ -347,3 +366,27 @@ def rows_text(columns, sep: str, start: str = "", end: str = "\n", nonfinite=Non
         np.compress(part != _PAD, part, out=text[at : at + size])
         at += size
     return text
+
+
+def _write_atomically(path, chunks, what: str) -> None:
+    """Write the byte ``chunks`` to a temporary file beside ``path`` and rename it
+    into place, so ``path`` ends up complete or untouched and no temporary stays,
+    also when producing a chunk raises."""
+    path = os.fspath(path)
+    directory, name = os.path.split(path)
+    tmp = os.path.join(directory, f".{name}.{os.getpid()}.{os.urandom(4).hex()}.tmp")
+    try:
+        handle = open(tmp, "xb")
+    except OSError as exc:
+        raise OSError(f"cannot write {what} {path!r}: {exc}") from exc
+    try:
+        with handle:
+            for chunk in chunks:
+                handle.write(chunk)
+        os.replace(tmp, path)
+    except BaseException:
+        try:
+            os.remove(tmp)
+        except OSError:
+            pass
+        raise

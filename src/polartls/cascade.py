@@ -31,7 +31,8 @@ its channel (int32).  An :class:`Ensemble` stores ``time``,
 The spectrum and the log read the rows a block of ``2**13`` at a time.
 :func:`run_cascade`, the one pipeline from a start state to a log and a
 summary, holds no ensemble: it samples, logs and tallies one window of
-``2**13`` trajectory ids at a time and keeps 8 bytes a trajectory.
+``2**13`` trajectory ids at a time and keeps 8 bytes a trajectory that
+jumps (its last time), joined into one array once the log is written.
 """
 
 from __future__ import annotations
@@ -39,12 +40,13 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import os
+import sys
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import _text
 from .ladder import DressedState, TransitionRecord
 from .numerics import _checked_int
 from .overlaps import ModelParams
@@ -437,9 +439,14 @@ def sample_ensemble(
     advances in the same numpy step, which a thread pool only slowed.
     """
     seed = _checked_int(seed, "seed", 0, _MAX_SEED)
-    n_trajectories = _checked_int(n_trajectories, "n_trajectories", 0)
+    n_trajectories = _checked_count(n_trajectories)
     max_jumps = _checked_int(max_jumps, "max_jumps", 1)
     return _sample(start, params, seed, 0, n_trajectories, max_jumps)
+
+
+def _checked_count(n_trajectories) -> int:
+    """A trajectory count: an int from 0 to the largest array length."""
+    return _checked_int(n_trajectories, "n_trajectories", 0, sys.maxsize)
 
 
 class _BinWidthError(ValueError):
@@ -522,8 +529,6 @@ def _log_header(delimiter: str) -> bytes:
 def _log_chunks(ensemble: Ensemble, delimiter: str):
     """The log's rows as UTF-8 bytes in blocks of lines; trajectory ids count
     from ``ensemble.first_stream``."""
-    from . import _text  # only the writers load it
-
     # Everything after the time depends only on the (state, channel) pair, and
     # only the pairs some row takes (a target other than -1) are rendered.
     taken = [kernel.live[target >= 0] for kernel, target in zip(ensemble.kernels, ensemble.targets)]
@@ -559,7 +564,7 @@ def write_trajectory_log(ensemble: Ensemble, path, delimiter: str = ",") -> None
         raise TypeError(f"write_trajectory_log takes the Ensemble from sample_ensemble, "
                         f"got {type(ensemble).__name__}")
     chunks = itertools.chain([_log_header(delimiter)], _log_chunks(ensemble, delimiter))
-    _write_atomically(path, chunks, "trajectory log")
+    _text._write_atomically(path, chunks, "trajectory log")
 
 
 def run_cascade(
@@ -586,59 +591,34 @@ def run_cascade(
     """
     bin_width = _checked_bin_width(bin_width)
     seed = _checked_int(seed, "seed", 0, _MAX_SEED)
-    count = _checked_int(n_trajectories, "n_trajectories", 0)
+    count = _checked_count(n_trajectories)
     max_jumps = _checked_int(max_jumps, "max_jumps", 1)
-    last_times = np.empty(count)  # the first ``ended`` entries, by trajectory id
-    jumps = ended = truncated = 0
+    last_times = []  # per window, the last jump time of each trajectory that jumps
+    jumps = truncated = 0
     tally, spectrum = _PhotonTally(), None
 
     def log():
-        nonlocal jumps, ended, truncated, spectrum
+        nonlocal jumps, truncated, spectrum
         yield _log_header(",")
         for lo in range(0, count, _BLOCK):
             window = _sample(start, params, seed, lo, min(_BLOCK, count - lo), max_jumps)
-            last = window.time[window.row_start[1:][window.jump_counts > 0] - 1]
-            last_times[ended : ended + last.size] = last
-            ended += last.size
+            last_times.append(window.time[window.row_start[1:][window.jump_counts > 0] - 1])
             jumps += int(window.row_start[-1])
             truncated += int(np.count_nonzero(window.truncated))
             tally.add(window)
             yield from _log_chunks(window, ",")
         spectrum = tally.spectrum(bin_width)  # before the rename
 
-    _write_atomically(path, log(), "trajectory log")
+    _text._write_atomically(path, log(), "trajectory log")
+    ends = np.concatenate([np.empty(0), *last_times])  # one array: np.mean's pairwise order
     return {
         "trajectories": count,
         "truncated": truncated,
         "mean_jumps": jumps / count if count else 0.0,  # = np.mean of the counts: an exact sum
-        "mean_total_time": float(np.mean(last_times[:ended])) if ended else 0.0,
+        "mean_total_time": float(np.mean(ends)) if ends.size else 0.0,
         "total_photons": spectrum.total_photons,
         "spectrum_bin_width": bin_width,
         "rng": RNG_SCHEME,
         "spectrum": [[float(center), float(weight)]
                      for center, weight in zip(spectrum.bin_centers, spectrum.weights) if weight > 0.0],
     }
-
-
-def _write_atomically(path, chunks, what: str) -> None:
-    """Write the byte ``chunks`` to a temporary file beside ``path`` and rename it
-    into place, so ``path`` ends up complete or untouched and no temporary stays,
-    also when producing a chunk raises."""
-    path = os.fspath(path)
-    directory, name = os.path.split(path)
-    tmp = os.path.join(directory, f".{name}.{os.getpid()}.{os.urandom(4).hex()}.tmp")
-    try:
-        handle = open(tmp, "xb")
-    except OSError as exc:
-        raise OSError(f"cannot write {what} {path!r}: {exc}") from exc
-    try:
-        with handle:
-            for chunk in chunks:
-                handle.write(chunk)
-        os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.remove(tmp)
-        except OSError:
-            pass
-        raise

@@ -28,7 +28,6 @@ check through :func:`_usage` before it computes or writes anything.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 from dataclasses import dataclass, field
@@ -37,8 +36,6 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .cascade import _MAX_SEED, _BinWidthError, _checked_bin_width, _write_atomically, run_cascade
-from .cascade import emission_spectrum, sample_ensemble, write_trajectory_log  # noqa: F401 (for bench WRAPPED)
 from .ladder import DressedState, allowed_final_indices
 from .numerics import _checked_int
 from .overlaps import ModelParams, _asymptotic_args, _check_reach, _checked_index, _column_blocks
@@ -282,8 +279,10 @@ def run_sweep(config: SweepConfig) -> int:
         columns, count, blocks = _overlap_compare_blocks(config)
     else:
         columns, count, blocks = _grid_blocks(config)
+    from . import _text  # only the writers load it
+
     text = _json_chunks if config.fmt == "json" else _csv_chunks
-    _write_atomically(config.output, text(config, columns, blocks), "sweep output")
+    _text._write_atomically(config.output, text(config, columns, blocks), "sweep output")
     return count
 
 
@@ -304,6 +303,8 @@ _JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 def _json_chunks(config: SweepConfig, columns, blocks):
     """The text ``json.dump(payload, indent=1)`` writes, one block at a time."""
+    import json
+
     from . import _text  # only the writers load it
 
     head = {"quantity": config.quantity, "fixed": dict(sorted(config.fixed.items())),
@@ -427,7 +428,8 @@ def _state_from_args(args, params: ModelParams) -> DressedState:
     reach = max(state.n, finals[-1] if finals else 0)
     _usage(_check_reach, "--n/--omega-l", reach)
     _check_column(reach, params)
-    channels = _candidate_final_indices(state, params)  # a far-detuned (g,n) reads off its window
+    # a far-detuned (g,n) reads off its window; a photon frequency past 2**341 is refused
+    channels = _usage(_candidate_final_indices, "--n/--omega-l", state, params)
     _check_column(state.n, params, *channels[:1], *channels[-1:])
     return state
 
@@ -483,9 +485,11 @@ def _cmd_semiclassical(args) -> int:
 
 
 def _cmd_cascade(args) -> int:
+    from .cascade import _MAX_SEED, _BinWidthError, _checked_bin_width, _checked_count, run_cascade
+
     _usage(_checked_bin_width, "--bin-width", args.bin_width)
     _usage(_checked_int, "--seed", args.seed, "seed", 0, _MAX_SEED)
-    _usage(_checked_int, "--trajectories", args.trajectories, "trajectories", 0)
+    _usage(_checked_count, "--trajectories", args.trajectories)
     _usage(_checked_int, "--max-jumps", args.max_jumps, "max_jumps", 1)
     params = _params_from_args(args)
     start = _state_from_args(args, params)
@@ -493,6 +497,8 @@ def _cmd_cascade(args) -> int:
     summary = _usage(run_cascade, "--bin-width", start, params, args.seed, args.trajectories,
                      args.output, args.max_jumps, args.bin_width, refused=_BinWidthError)
     if args.format == "json":
+        import json
+
         print(json.dumps(summary, indent=1))
         return 0
     print(f"trajectories = {summary['trajectories']}\ntruncated = {summary['truncated']}\n"
@@ -630,6 +636,16 @@ def main(argv: Sequence[str] | None = None) -> int:
     except MemoryError as exc:
         print("error: out of memory" + (f": {exc}" if str(exc) else ""), file=sys.stderr)
         return 1
+
+
+def __getattr__(name):
+    # bench/inprocess.py wraps these cascade functions on cli, which imported them
+    # once; they can go once it wraps run_cascade, which cli calls, instead.
+    if name in ("emission_spectrum", "sample_ensemble", "write_trajectory_log"):
+        from . import cascade
+
+        return getattr(cascade, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 if __name__ == "__main__":

@@ -154,6 +154,19 @@ class SemiclassicalTotals(NamedTuple):
     gamma_g: float
 
 
+# The largest photon frequency (omega0 units) a rate cubes: a cube of 2**1023 at
+# most leaves room for an overlap rounded a little above 1.
+_MAX_PHOTON_FREQ = 2.0**341
+
+
+def _check_photon_freq(freq: float) -> None:
+    """A rate cubes its photon frequency: refuse one whose cube would pass a
+    double's range, before any rate is computed."""
+    if not freq <= _MAX_PHOTON_FREQ:
+        raise ValueError(f"the photon frequency {freq:.7g} (omega0 units) is past the limit "
+                         f"2**341, where its cube leaves a double's range")
+
+
 def _channel_rate(log_abs: float, freq: float) -> float:
     """The rate of one channel: squared overlap times the cubed frequency."""
     if log_abs == float("-inf") or freq == 0.0:
@@ -169,20 +182,24 @@ def partial_rate(from_state: DressedState, n_prime: int, params: ModelParams) ->
     the allowed range.
     """
     freq = photon_frequency(from_state, n_prime, params) / params.omega0
+    _check_photon_freq(freq)
     return _channel_rate(overlap_log_abs(n_prime, from_state.n, params), freq)
 
 
 def _candidate_final_indices(state: DressedState, params: ModelParams) -> range:
     """The allowed final indices inside :func:`polartls.overlaps._core_window`, the
     support window of the state's overlap column: the next allowed channel past
-    either end carries less than 2**-54 of a total (tests/test_rates.py)."""
+    either end carries less than 2**-54 of a total (tests/test_rates.py).  Refuses
+    a table whose top photon frequency, at its lowest channel, cubes past a double."""
     lo, hi = _core_window(state.n, params.beta)
     top = min(allowed_final_indices(state, params).stop - 1, hi)
     _check_reach(top)
     if 0 <= top < lo:
         # Only a far-detuned lower branch ends below the window, where the column
         # falls off downward: the nearest n - lo allowed channels carry the total.
-        return range(max(0, top + 1 - (state.n - lo)), top + 1)
+        lo = max(0, top + 1 - (state.n - lo))
+    if lo <= top:
+        _check_photon_freq(float(_photon_frequencies(state, lo, params)) / params.omega0)
     return range(lo, top + 1)
 
 

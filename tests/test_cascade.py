@@ -255,7 +255,7 @@ runs = [
 loaded = []
 for argv in runs:
     assert main(argv) == 0, argv
-    loaded.append("numpy.random" in sys.modules)
+    loaded.append(["polartls.cascade" in sys.modules, "numpy.random" in sys.modules])
 print(json.dumps(loaded))
 """
 
@@ -342,7 +342,7 @@ class TestRandomStream:
         assert t.jumps[0][0] == _first_wait(2718, 120, total) == 0.005834924236736532
 
     def test_only_cascade_loads_numpy_random(self, tmp_path):
-        # numpy.random costs import time and memory that only sampling needs.
+        # polartls.cascade and numpy.random cost import time and memory that only sampling needs.
         package_root = str(Path(cascade_module.__file__).resolve().parent.parent)
         path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
         proc = subprocess.run(
@@ -352,7 +352,7 @@ class TestRandomStream:
             env={**os.environ, "PYTHONPATH": path},
         )
         assert proc.returncode == 0, proc.stderr
-        assert json.loads(proc.stdout.strip().splitlines()[-1]) == [False] * 5 + [True]
+        assert json.loads(proc.stdout.strip().splitlines()[-1]) == [[False, False]] * 5 + [[True, True]]
 
     def test_trajectory_depends_only_on_seed_and_stream(self):
         p = ModelParams.from_ratios(1.0, 0.45)

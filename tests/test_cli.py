@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from polartls import cascade, cli, numerics, overlaps
+from polartls import _text, cascade, cli, numerics, overlaps
 from polartls.cascade import RNG_SCHEME, emission_spectrum, run_cascade, sample_ensemble, write_trajectory_log
 from polartls.cli import AxisSpec, SweepConfig, main, run_sweep
 from polartls.ladder import DressedState, allowed_final_indices
@@ -476,6 +476,19 @@ class TestQueryCommands:
         assert "--omega-l" in err and "1000000" in err
         assert "ell" not in err
 
+    @pytest.mark.parametrize("to", [[], ["--to", "0"]])
+    def test_rate_photon_frequency_past_a_double_when_cubed(self, capsys, monkeypatch, to):
+        # (e,5) at omega_L = 1e300 emits at 5e300 omega0, whose cube raised OverflowError (exit 1)
+        def no_compute(*args, **kwargs):
+            raise AssertionError("computed a rate past the photon frequency limit")
+
+        for name in ("total_rate", "partial_rate"):
+            monkeypatch.setattr(cli, name, no_compute)
+        argv = ["rate", "--branch", "e", "--n", "5", "--omega-a", "0.5", "--omega-l", "1e300", *to]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: bad --n/--omega-l:") and "2**341" in err
+
     @pytest.mark.parametrize(
         "argv, flag",
         [
@@ -713,8 +726,10 @@ class TestCascadeCommand:
             ("--seed", "-1"),
             ("--seed", str(2**64)),
             ("--trajectories", "-1"),
+            ("--trajectories", str(2**63)),  # no array has that length; once exit 1
             ("--max-jumps", "0"),
             ("--omega-l", "0"),
+            ("--omega-l", "1e300"),  # a photon frequency that cubes past a double; once exit 1
             ("--n", "-2"),
         ],
     )
@@ -876,15 +891,15 @@ class TestRunCascade(TestStreamedCascade):
 
     @pytest.mark.parametrize("bad", [
         {"seed": -1}, {"seed": 2**64}, {"seed": 1.0}, {"n_trajectories": -1},
-        {"n_trajectories": 10.0}, {"max_jumps": 0}, {"max_jumps": True}, {"bin_width": 0.0},
-        {"bin_width": -0.05}, {"bin_width": math.nan}, {"bin_width": math.inf},
+        {"n_trajectories": 10.0}, {"n_trajectories": 2**63}, {"max_jumps": 0}, {"max_jumps": True},
+        {"bin_width": 0.0}, {"bin_width": -0.05}, {"bin_width": math.nan}, {"bin_width": math.inf},
     ])
     def test_bad_input_is_refused_before_any_file(self, tmp_path, monkeypatch, bad):
         def no_sample(*args, **kwargs):
             raise AssertionError("sampled before the inputs were checked")
 
         monkeypatch.setattr(cascade, "_sample", no_sample)
-        monkeypatch.setattr(cascade, "_write_atomically", no_sample)
+        monkeypatch.setattr(_text, "_write_atomically", no_sample)
         inputs = {"seed": 1, "n_trajectories": 10, "max_jumps": 5, "bin_width": 0.05, **bad}
         with pytest.raises(ValueError, match=next(iter(bad))):
             run_cascade(DressedState("e", 5), ModelParams.from_ratios(0.5, 0.5),

@@ -145,6 +145,11 @@ class TestContract:
                    "--omega-l", "0.5,1,2", "--output", "{out}"])
     @example(argv=["semiclassical", "--n-bar", "1", "--omega-a", "0", "--omega-l", "1e300"])
     @example(argv=["overlap", "--ell", "0", "--n", "19", "--omega-a", str(2**64), "--omega-l", "1.1"])
+    # Input that exited 1 before a check refused it: a photon frequency whose cube passes a
+    # double, a trajectory count no array can have.
+    @example(argv=["rate", "--branch", "e", "--n", "5", "--omega-a", "0.5", "--omega-l", "1e300"])
+    @example(argv=["cascade", "--branch", "e", "--n", "5", "--omega-a", "0.5", "--omega-l", "0.5",
+                   "--seed", "1", "--trajectories", str(2**63), "--output", "{out}"])
     @settings(max_examples=200, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow])
     def test_exit_code_stderr_and_files(self, tmp_path, argv):

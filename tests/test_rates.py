@@ -196,6 +196,19 @@ class TestTotalRate:
             DressedState("e", 3_000_000)
         assert total_rate(DressedState("g", 10**6), p).transitions[-1].final.n == 10**6 - 500
 
+    def test_photon_frequencies_whose_cube_passes_a_double_are_refused(self):
+        # (e,1) to (g,0) emits at 1 + omega_L; 2**340 + 1 rounds to 2**340, inside the limit
+        at_limit = ModelParams.from_ratios(0.5, 2.0**340)
+        table = total_rate(DressedState("e", 1), at_limit)
+        assert table.photon_freq[0] == 2.0**340 and np.all(np.isfinite(table.rate_over_gamma0))
+        assert partial_rate(DressedState("e", 1), 0, at_limit) == table.rate_over_gamma0[0]
+        past = ModelParams.from_ratios(0.5, 2.0**342)
+        for rate in (partial(total_rate, DressedState("e", 1)),
+                     partial(partial_rate, DressedState("e", 1), 0)):
+            with pytest.raises(ValueError, match="past the limit 2[*][*]341"):
+                rate(past)
+        assert total_rate(DressedState("e", 0), past).total_over_gamma0 == 1.0  # its one photon is at omega0
+
     def test_large_index_window(self):
         # the candidate window must capture essentially all the weight
         p = ModelParams.from_ratios(0.2, 0.9)
