@@ -7,7 +7,9 @@ import sys
 # exits: tens of milliseconds of a short command.  So import with the collector
 # off, move everything alive into the permanent generation, and turn the
 # collector back on for the command's own garbage (the sequence the
-# documentation of gc.freeze gives).  Only this entry point does it: importing
+# documentation of gc.freeze gives).  The modules the command imports as it
+# runs (the writers, numpy.random, json) are frozen in turn once it returns, so
+# the exit collection skips them too.  Only this entry point does it: importing
 # the package, or calling cli.main in-process, leaves the collector as it is.
 gc.disable()
 from .cli import main  # noqa: E402
@@ -15,4 +17,6 @@ from .cli import main  # noqa: E402
 gc.freeze()
 gc.enable()
 
-sys.exit(main())
+code = main()
+gc.freeze()
+sys.exit(code)

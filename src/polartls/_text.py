@@ -9,22 +9,25 @@ the one closest to it, ties to an even last digit: the digits of
 CPython's ``repr``.  They come from a vectorized Schubfach (R. Giulietti,
 "The Schubfach way to render doubles", 2020; the algorithm of OpenJDK's
 ``Double.toString``) over ``x.view(uint64)``, with one 126-bit power of
-ten per decimal exponent and round-to-odd 64x128-bit products.  The
-digits are then laid out the way CPython does: positional when
-``-4 < decpt <= 16`` (``x = 0.d1..dn 10**decpt``), with ``.0`` after an
-integral value, else ``d.ddde+XX`` with at least two exponent digits.
-Zeros are laid out directly; subnormal, infinite and nan lanes are
-rendered by ``repr`` one lane at a time.
+ten per decimal exponent and round-to-odd 64x128-bit products: one for
+the value, from which the rounding interval's two ends move by shifts
+of the power.  The digits are then laid out the way CPython does:
+positional when ``-4 < decpt <= 16`` (``x = 0.d1..dn 10**decpt``), with
+``.0`` after an integral value, else ``d.ddde+XX`` with at least two
+exponent digits.  Zeros are laid out directly; subnormal, infinite and
+nan lanes are rendered by ``repr`` one lane at a time.
 
 A block of rows renders into one ``uint8`` matrix with a fixed-width
 slot per column, whose bytes past each cell's text are :data:`_PAD`
-(0xFF, a byte no UTF-8 text holds); dropping those bytes, a slice of
-rows at a time, leaves the block's text.  Each column is measured first
-(a float column by its shortest digits and layouts), then writes its
-cells straight into its slot.  A categorical column is a :class:`Cells`
-table read through row codes: a slice of rows at a time, its text is
-gathered and copied into its slot, so the gather holds at most
-:data:`_COMPRESS_BYTES` besides.
+(0xFF, a byte no UTF-8 text holds).  ``bytes.translate`` drops those
+bytes in one C pass over a slice of rows at a time, and the slices'
+text is joined once.  Each column is measured first (a float column by
+its shortest digits and layouts), then writes its cells straight into
+its slot.  A categorical column is a :class:`Cells` table read through
+row codes: a slice of rows at a time, its cells are gathered as whole
+items into its slot, so the gather holds at most :data:`_SLICE_BYTES`
+besides.  A float column is one too, its table the template row of each
+layout the block uses, onto which its digits are or'ed.
 
 The module also owns the one file writer, :func:`_write_atomically`:
 the bytes go to a temporary file beside the target, renamed onto it at
@@ -34,13 +37,13 @@ power table (617 entries) by the first float rendered, and a layout's
 row of template columns the first time a block uses that (sign, form,
 digit count) key, so a sweep builds a few dozen of the 816 rows.
 
-Cost, in blocks of 4,096 rows on a 2-core x86-64 machine: 1.0-1.6 us a
-CSV row of three or four columns (medians on a shared host), against
-0.8-1.3 us a float for ``repr`` and a join.  Once per process, the
-power table takes about 0.7 ms and a layout row about 5 us (all 816: 4 ms).
-Besides its text, a block holds about 120-150 B of scratch a row: the
-slot matrix, about as wide as the text, and the Schubfach pass over one
-float column, about 170 B a value.
+Cost, in blocks of 4,096 rows on a 2-core x86-64 machine: 0.4-0.7 us a
+CSV row of three columns and 0.7-1.1 us of four (medians on a shared
+host), about five times less than ``repr`` and a join of the same rows.
+Once per process, the power table takes about 0.7 ms and a layout row
+about 5 us (all 816: 4 ms).  Besides its text, a block holds about
+105-110 B of scratch a row: the slot matrix, about as wide as the text,
+and the Schubfach pass over one float column, about 150 B a value.
 """
 
 from __future__ import annotations
@@ -62,7 +65,7 @@ _ZERO = np.uint32(ord("0"))
 _MASK52 = np.uint64((1 << 52) - 1)
 _MASK63 = np.uint64((1 << 63) - 1)
 _LOW32 = np.uint64(0xFFFFFFFF)
-_U1, _U2, _U32, _U52, _U63 = (np.uint64(s) for s in (1, 2, 32, 52, 63))
+_U1, _U2, _U32, _U52, _U63, _U64 = (np.uint64(s) for s in (1, 2, 32, 52, 63, 64))
 # A float cell holds every character any layout can need, in order; its
 # layout keeps some of them.  Digit i of the 17 right-aligned digits sits
 # at column 6 + 2i, with a decimal point slot after it.
@@ -75,7 +78,8 @@ _FORMS = _POSITIONAL + 4
 
 
 _PAD = np.uint8(0xFF)  # fills a slot past its cell's text
-_COMPRESS_BYTES = 1 << 14  # block bytes compressed at once
+_PAD_BYTE = bytes([_PAD])
+_SLICE_BYTES = 1 << 14  # block bytes gathered or squeezed at once
 
 
 class Cells(NamedTuple):
@@ -159,17 +163,28 @@ def _mulhilo(a, b):
     return a * b, hi
 
 
-def _round_to_odd(g1, g0, cp):
-    """``floor(g cp / 2**127)`` with its lowest bit or'ed with the lost bits'."""
-    _, x1 = _mulhilo(g0, cp)
-    y0, y1 = _mulhilo(g1, cp)
+def _round_to_odd(x1, y0, y1):
+    """``floor(g cp / 2**127)`` with its lowest bit or'ed with the lost bits', for
+    ``g = g1 2**63 + g0`` from the words ``x1 = g0 cp >> 64`` and ``g1 cp = y1 2**64 + y0``.
+    As in Schubfach, the lost bits are those of ``(g1 cp >> 1) + x1``: the lowest
+    bit of ``g1 cp`` and the low word of ``g0 cp`` are left out."""
     z = (y0 >> _U1) + x1
     return (y1 + (z >> _U63)) | (((z & _MASK63) + _MASK63) >> _U63)
 
 
-def _shortest(bits):
-    """``(f, k)``: the shortest decimal ``f 10**k`` that reads back to each
-    normal double ``bits``, closest to it, ties to even (Schubfach)."""
+def _moved(lo, hi, g, e, up: bool):
+    """Words of ``hi 2**64 + lo`` plus (or, not ``up``, minus) ``g 2**e``, for ``g < 2**63``
+    and ``0 < e < 64``: shifts of ``g``, with a carry or borrow out of the low word."""
+    step_lo, step_hi = g << e, g >> (_U64 - e)
+    if up:
+        lo = lo + step_lo
+        return lo, hi + step_hi + (lo < step_lo)
+    return lo - step_lo, hi - step_hi - (lo < step_lo)
+
+
+def _bounds(bits):
+    """``(k, vb, vbl, vbr)``: the decimal exponent of each normal double ``bits``, and
+    its value and rounding-interval ends over ``10**k``, scaled by 4 and rounded to odd."""
     g1, g0 = _tables()
     biased = ((bits >> _U52) & np.uint64(0x7FF)).astype(np.int64)
     t = bits & _MASK52
@@ -182,14 +197,27 @@ def _shortest(bits):
     k = (q * 661971961083 - np.where(irregular, 274743187321, 0)) >> 41
     h = (q + ((-k * 913124641741) >> 38) + 2).astype(np.uint64)
     del q
-    out = c & _U1
-    cb = c << _U2
+    cp = (c << _U2) << h
     del c
     g1, g0 = g1[k - _K_MIN], g0[k - _K_MIN]
-    vb = _round_to_odd(g1, g0, cb << h)
-    vbl = _round_to_odd(g1, g0, (cb - _U2 + irregular) << h)
-    vbr = _round_to_odd(g1, g0, (cb + _U2) << h)
-    del g1, g0, cb, h, irregular
+    x0, x1 = _mulhilo(g0, cp)
+    y0, y1 = _mulhilo(g1, cp)
+    del cp
+    vb = _round_to_odd(x1, y0, y1)
+    # The ends' multipliers are (4c + 2) 2**h and (4c - 2) 2**h, or (4c - 1) 2**h on
+    # an irregular lane: cp plus or minus 2**e, so each product moves by g 2**e.
+    e = h + _U1
+    vbr = _round_to_odd(_moved(x0, x1, g0, e, True)[1], *_moved(y0, y1, g1, e, True))
+    e -= irregular
+    vbl = _round_to_odd(_moved(x0, x1, g0, e, False)[1], *_moved(y0, y1, g1, e, False))
+    return k, vb, vbl, vbr
+
+
+def _shortest(bits):
+    """``(f, k)``: the shortest decimal ``f 10**k`` that reads back to each
+    normal double ``bits``, closest to it, ties to even (Schubfach)."""
+    k, vb, vbl, vbr = _bounds(bits)
+    out = bits & _U1
     # One multiple of 10**(k+1) inside the rounding interval is the answer;
     # else the multiple of 10**k inside it, the nearer if both are.
     s = vb >> _U2
@@ -206,7 +234,7 @@ def _shortest(bits):
 
 def _digits(u, width: int):
     """ASCII digits of the uint64 values ``u`` below ``10**width``, right-aligned:
-    yields ``(i, row)`` with ``row`` the digit column i, lowest digit first."""
+    yields ``(i, row)`` with ``row`` the uint8 digit column i, lowest digit first."""
     for top in range(width, 0, -9):  # nine digits at a time in uint32, lowest first
         if top > 9:
             u, limb = np.divmod(u, _BILLION)
@@ -217,7 +245,7 @@ def _digits(u, width: int):
             q = limb // _TEN
             limb -= q * _TEN
             limb += _ZERO
-            yield i, limb
+            yield i, limb.astype(np.uint8)  # or'ed into a slot as uint8, not widened
             limb = q
 
 
@@ -258,22 +286,26 @@ def _float_column(x, nonfinite) -> _Column:
     keys = np.flatnonzero(np.bincount(layout))
     layouts = np.array([_layout_row(key) for key in keys.tolist()], dtype=bool)
     layouts = layouts.reshape(keys.size, _TEMPLATE.size)  # also for an empty block
-    layout = np.searchsorted(keys, layout).astype(np.int16)
+    number = np.zeros(2 * _FORMS * _DIGITS, dtype=np.int16)  # a layout key's number
+    number[keys] = np.arange(keys.size)
+    layout = number[layout]
     used = layouts.any(axis=0)
     used[: max(map(len, texts), default=0)] = True
     columns = np.flatnonzero(used)
     slot = {col: j for j, col in enumerate(columns.tolist())}
+    # Each layout's template row, pads where it keeps no character.  A digit
+    # or'ed onto a template "0" is itself, onto a pad (0xFF) the pad.
+    rows = Cells(np.where(layouts[:, columns], _TEMPLATE[columns], _PAD), layout)
 
     def fill(out):
-        out[:] = _TEMPLATE[columns]
+        _gather(out, rows)
         for i, digit in _digits(f, _DIGITS):
             if _DIGIT_COL + 2 * i in slot:
-                out[:, slot[_DIGIT_COL + 2 * i]] = digit
+                out[:, slot[_DIGIT_COL + 2 * i]] |= digit
         if _E_COL + 5 in slot:
             for i, digit in _digits(exponent, 3):
                 if _E_COL + 3 + i in slot:
-                    out[:, slot[_E_COL + 3 + i]] = digit
-        out |= (_PAD * ~layouts[:, columns])[layout]  # 0xFF | byte is 0xFF
+                    out[:, slot[_E_COL + 3 + i]] |= digit
         for i, text in zip(fallback.tolist(), texts):
             out[i] = _PAD
             out[i, : len(text)] = np.frombuffer(text, dtype=np.uint8)
@@ -281,13 +313,16 @@ def _float_column(x, nonfinite) -> _Column:
     return _Column(x.size, columns.size, fill)
 
 
-def float_cells(x, nonfinite: dict | None = None) -> Cells:
-    """:class:`Cells` of ``repr(float(v))`` for each value of ``x`` (see :func:`rows_text`
-    for ``nonfinite``)."""
-    column = _float_column(x, nonfinite)
+def _cells(column: _Column) -> Cells:
     text = np.empty((column.rows, column.width), dtype=np.uint8)
     column.fill(text)
     return Cells(text)
+
+
+def float_cells(x, nonfinite: dict | None = None) -> Cells:
+    """:class:`Cells` of ``repr(float(v))`` for each value of ``x`` (see :func:`rows_text`
+    for ``nonfinite``)."""
+    return _cells(_float_column(x, nonfinite))
 
 
 def _int_column(x) -> _Column:
@@ -308,6 +343,11 @@ def _int_column(x) -> _Column:
     return _Column(x.size, width, fill)
 
 
+def int_cells(x) -> Cells:
+    """:class:`Cells` of ``str(int(v))`` for each value of the integer array ``x``."""
+    return _cells(_int_column(x))
+
+
 def str_cells(strings) -> Cells:
     """:class:`Cells` of the given strings (UTF-8), packed to the left."""
     data = [s.encode() for s in strings]
@@ -318,19 +358,28 @@ def str_cells(strings) -> Cells:
     return Cells(text)
 
 
+def _gather(out, cells: Cells) -> None:
+    """Write the ``cells`` into the ``(rows, width)`` uint8 view ``out``, whose rows
+    are contiguous."""
+    text, codes = cells
+    if codes is None:
+        out[:] = text
+        return
+    if not out.size:
+        return
+    # One void item a cell, so the gather copies whole cells; a slice of rows at a
+    # time, its copy stays one slice.
+    width = text.shape[1]
+    text, out = np.ascontiguousarray(text).view(f"V{width}")[:, 0], out.view(f"V{width}")[:, 0]
+    step = max(1, _SLICE_BYTES // width)
+    for lo in range(0, len(codes), step):
+        out[lo : lo + step] = text[codes[lo : lo + step]]
+
+
 def _as_column(column, nonfinite) -> _Column:
     if isinstance(column, Cells):
-        text, codes = column
-
-        def fill(out):
-            if codes is None:
-                out[:] = text
-                return
-            step = max(1, _COMPRESS_BYTES // max(text.shape[1], 1))
-            for lo in range(0, len(codes), step):  # the gather's copy stays one slice
-                out[lo : lo + step] = text[codes[lo : lo + step]]
-
-        return _Column(len(text) if codes is None else len(codes), text.shape[1], fill)
+        rows = len(column.text) if column.codes is None else len(column.codes)
+        return _Column(rows, column.text.shape[1], functools.partial(_gather, cells=column))
     column = np.asarray(column)
     if column.dtype.kind in "iu":
         return _int_column(column)
@@ -338,8 +387,8 @@ def _as_column(column, nonfinite) -> _Column:
 
 
 def rows_text(columns, sep: str, start: str = "", end: str = "\n", nonfinite=None) -> np.ndarray:
-    """Every row's ``start + sep.join(cells) + end``, concatenated, as a uint8
-    array of UTF-8 bytes that a binary file writes as it is.  A column is a
+    """Every row's ``start + sep.join(cells) + end``, concatenated, as a read-only
+    uint8 array of UTF-8 bytes that a binary file writes as it is.  A column is a
     :class:`Cells`, an integer array or a float array; ``nonfinite`` maps the
     repr of a nan or infinite float to the text it is written as."""
     pieces = [start.encode()]
@@ -357,15 +406,13 @@ def rows_text(columns, sep: str, start: str = "", end: str = "\n", nonfinite=Non
         else:
             piece.fill(part)
         col += width
-    # A slice of rows at a time: np.compress holds an 8-byte index per byte it keeps.
-    rows = range(0, chars.shape[0], max(1, _COMPRESS_BYTES // max(chars.shape[1], 1)))
-    sizes = [np.count_nonzero(chars[lo : lo + rows.step] != _PAD) for lo in rows]
-    text, at = np.empty(sum(sizes), dtype=np.uint8), 0
-    for lo, size in zip(rows, sizes):
-        part = chars[lo : lo + rows.step].ravel()
-        np.compress(part != _PAD, part, out=text[at : at + size])
-        at += size
-    return text
+    # bytes.translate drops the pad bytes in one pass, a slice of rows at a time so
+    # that its copy stays one slice; the block goes before the texts are joined.
+    step = max(1, _SLICE_BYTES // max(chars.shape[1], 1))
+    texts = [chars[lo : lo + step].tobytes().translate(None, _PAD_BYTE)
+             for lo in range(0, len(chars), step)]
+    del chars, part
+    return np.frombuffer(b"".join(texts), dtype=np.uint8)
 
 
 def _write_atomically(path, chunks, what: str) -> None:

@@ -543,8 +543,17 @@ def _log_chunks(ensemble: Ensemble, delimiter: str):
         block = slice(lo, min(lo + _BLOCK, ensemble.time.size))
         rows = np.arange(block.start, block.stop)
         trajectory = np.searchsorted(ensemble.row_start, rows, side="right") - 1
+        jump = rows - ensemble.row_start[trajectory]
+        # The block's ids, first .. last, and its jump indices, 0 .. max, are each
+        # rendered once and gathered per row, as the tails are; jump indices past
+        # the block's row count (a long trajectory) are rendered per row instead,
+        # so neither table outgrows the block.
+        first = int(trajectory[0])
+        ids = _text.int_cells(np.arange(first, int(trajectory[-1]) + 1) + ensemble.first_stream)
+        top = int(jump.max()) + 1
         yield _text.rows_text(
-            [trajectory + ensemble.first_stream, rows - ensemble.row_start[trajectory],
+            [ids.take(trajectory - first),
+             _text.int_cells(np.arange(top)).take(jump) if top <= jump.size else jump,
              ensemble.time[block], tails.take(tail_of[ensemble._flat_channel(block)])],
             delimiter,
         )

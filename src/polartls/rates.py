@@ -305,7 +305,14 @@ def absorption_g1_mesh(coupling_ratio, drive_ratio) -> np.ndarray:
     """:func:`absorption_rate_g1` over broadcast ratio arrays."""
     c, d, shape = _cells(coupling_ratio, drive_ratio)
     beta = c / (2.0 * d)
-    value = np.exp(-beta * beta) * beta * beta * (d - 1.0) ** 3
+    with np.errstate(over="ignore"):
+        cube = (d - 1.0) ** 3
+    far = cube == np.inf
+    cube[far] = 0.0
+    value = np.exp(-beta * beta) * beta * beta * cube
+    # Past the cube's range beta (d - 1), about c / 2, keeps the product in range.
+    b, rise = beta[far], d[far] - 1.0
+    value[far] = np.exp(-b * b) * (b * rise) ** 2 * rise
     return np.where(d > 1.0, value, 0.0).reshape(shape)
 
 
@@ -389,14 +396,20 @@ _BESSEL_TABLE_ENTRIES = 1 << 17  # J values semiclassical_mesh tabulates at once
 
 
 def _semiclassical_gamma_g(x, d, p_min, p_hi) -> np.ndarray:
-    """gamma_g of cells with Bessel arguments ``x`` and drive ratios ``d``,
-    summed over channels ``p_min .. p_hi`` from one Bessel table per cell."""
-    table = _bessel_j_orders(np.arange(int(p_hi.max(initial=0)) + 1)[:, None], x)
-
-    def terms(p, i):
-        return table[p.astype(np.int64), i] ** 2 * np.maximum(0.0, p * d[i] - 1.0) ** 3
-
-    return _ordered_sum(terms, p_min, p_hi)
+    """gamma_g of cells with Bessel arguments ``x`` and drive ratios ``d``, summed
+    over channels ``p_min .. p_hi`` in increasing p, as :func:`_ordered_sum` adds
+    them.  The Bessel table is gathered once from the recurrence, then squared,
+    weighted and summed down in place; its zeros before a cell's first channel
+    and past its last leave the cell's sum unchanged."""
+    p = np.arange(int(p_min.min(initial=0)), int(p_hi.max(initial=0)) + 1)[:, None]
+    table = _bessel_j_orders(p, x)
+    table *= table
+    factor = p * d - 1.0
+    np.maximum(0.0, factor, out=factor)
+    table *= np.power(factor, 3, out=factor)
+    del factor
+    table[(p < p_min) | (p > p_hi)] = 0.0
+    return np.add.accumulate(table, axis=0, out=table)[-1]
 
 
 def _semiclassical_args(n_bar: float, coupling_ratio, drive_ratio):

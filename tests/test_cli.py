@@ -351,6 +351,22 @@ class TestSweepMesh:
             assert value == absorption_rate_g1(ModelParams.from_ratios(coupling, drive))
         assert any(v > 0.0 for *_, v in rows) and any(v == 0.0 for *_, v in rows)
 
+    def test_absorption_past_the_range_of_the_cube(self, tmp_path, capsys):
+        # (omega_L - 1)^3 overflows at omega_L = 1e200 and 1e300, but each rate,
+        # e^{-beta^2} beta^2 (omega_L - 1)^3 ~ Omega_a^2 omega_L / 4, is a double
+        _, rows = sweep_cells(tmp_path, "a.csv", "absorption_g1", "0.5,1,2", "1e200,1e300,2")
+        assert len(rows) == 4
+        for drive, coupling, value in rows:
+            assert value == absorption_rate_g1(ModelParams.from_ratios(coupling, drive))
+            assert value == pytest.approx(coupling**2 * drive / 4.0, rel=1e-15)
+        # a rate past a double's range is still an error: Omega_a^2 omega_L / 4 ~ 1e319
+        argv = ["sweep", "--quantity", "absorption_g1", "--omega-a", "1e100,1e101,2",
+                "--omega-l", "1e120,1e121,2", "--output", str(tmp_path / "b.csv")]
+        capsys.readouterr()
+        assert main(argv) == 1
+        assert capsys.readouterr() == ("", "error: overflow encountered in multiply\n")
+        assert not (tmp_path / "b.csv").exists()
+
     def test_partial_e0n(self, tmp_path):
         _, rows = sweep_cells(
             tmp_path, "p.csv", "partial_e0n", "0,4,5", "0.25,0.75,7", "--fix", "n_prime=2"

@@ -54,6 +54,25 @@ print(states)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines()[-1] == str([(True, 0)] * 3)
 
+    def test_module_run_freezes_what_the_command_imported(self, tmp_path):
+        # ``python -m polartls`` freezes after its imports and again once the
+        # command returns, so the exit collection skips the writers it loaded.
+        script = """
+import gc, runpy, sys
+sys.argv = ["polartls", "cascade", "--branch", "e", "--n", "5", "--omega-a", "0.5",
+            "--omega-l", "0.5", "--seed", "1", "--trajectories", "5", "--output", sys.argv[1]]
+try:
+    runpy.run_module("polartls", run_name="__main__")
+except SystemExit as exit:
+    code = exit.code
+tracked = {id(obj) for obj in gc.get_objects()}  # the permanent generation is not listed
+loaded = [sys.modules[name].__dict__ for name in ("polartls._text", "polartls.cascade")]
+print([code, gc.isenabled(), [id(namespace) in tracked for namespace in loaded]])
+"""
+        proc = _python("-c", script, str(tmp_path / "c.log"))
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == str([0, True, [False, False]])
+
 
 class TestModuleEntryPoint:
     """``python -m polartls`` prints and writes what ``cli.main`` does in-process."""

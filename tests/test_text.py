@@ -1,10 +1,12 @@
 """The float-to-text kernel behind every writer: exactly ``repr`` and ``str``."""
 
 import json
+import math
 import os
 import subprocess
 import sys
 import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -82,12 +84,85 @@ class TestFloatsAreRepr:
         assert rendered([]) == b""
 
 
+class TestSchubfachBounds:
+    """``_bounds`` against Python integers.  For each double the oracle takes
+    g = floor(10**-k / 2**r) + 1 with 2**125 <= g < 2**126, and compares vb, vbl
+    and vbr with floor(g cp / 2**127) at the multipliers cp = 4c 2**h, (4c - 2)
+    2**h ((4c - 1) 2**h on an irregular lane) and (4c + 2) 2**h, with the sticky
+    bit or'ed in.  As in Schubfach, the sticky bit reads the bits of g1 cp / 2
+    + g0 cp / 2**64 (g = g1 2**63 + g0) above the binary point: on about 0.3% of
+    lanes the full product has other bits set below those, which the
+    algorithm does not need."""
+
+    @staticmethod
+    def oracle(word):
+        biased, t = word >> 52 & 0x7FF, word & (1 << 52) - 1
+        irregular = t == 0 and biased > 1
+        c, q = t | 1 << 52, biased - 1075
+        k = (q * 661971961083 - (274743187321 if irregular else 0)) >> 41
+        h = q + ((-k * 913124641741) >> 38) + 2
+        power = Fraction(10) ** -k
+        r = power.numerator.bit_length() - power.denominator.bit_length() - 126
+        while power / Fraction(2) ** r >= 2**126:
+            r += 1
+        g = math.floor(power / Fraction(2) ** r) + 1
+        assert 2**125 <= g < 2**126
+        g1, g0 = g >> 63, g & (1 << 63) - 1
+        ends = []
+        for cp in ((4 * c) << h, (4 * c - 2 + irregular) << h, (4 * c + 2) << h):
+            kept = (g1 * cp >> 1) + (g0 * cp >> 64)
+            value = kept >> 63 | (kept & (1 << 63) - 1 != 0)
+            assert value >> 1 == (g * cp) >> 128  # the same floor as the full product's
+            ends.append(value)
+        return k, *ends
+
+    def assert_bounds(self, words):
+        k, vb, vbl, vbr = (a.tolist() for a in _text._bounds(np.array(words, dtype=np.uint64)))
+        got = list(zip(k, vb, vbl, vbr))
+        want = [self.oracle(word) for word in words]
+        bad = [(hex(w), g, o) for w, g, o in zip(words, got, want) if g != o]
+        assert not bad, bad[:3]
+
+    def test_random_lanes(self):
+        rng = np.random.default_rng(20261019)
+        biased = rng.integers(1, 0x7FF, 20_000, dtype=np.uint64)
+        t = rng.integers(0, 1 << 52, 20_000, dtype=np.uint64)
+        sign = rng.integers(0, 2, 20_000, dtype=np.uint64)
+        self.assert_bounds((sign << np.uint64(63) | biased << np.uint64(52) | t).tolist())
+
+    def test_every_exponent_regular_and_irregular(self):
+        rng = np.random.default_rng(5)
+        t = rng.integers(1, 1 << 52, 0x7FE).tolist()
+        self.assert_bounds([biased << 52 | tail for biased in range(1, 0x7FF)
+                            for tail in (0, t[biased - 1], (1 << 52) - 1)])
+
+
 class TestCells:
     def test_integers_are_str(self):
         values = np.array([0, 7, -7, 10, -10, 123456789, 2**62, -(2**62), 10**18], dtype=np.int64)
         got = _text.rows_text([values], ",")
         assert got.dtype == np.uint8
         assert got.tobytes() == "".join(f"{v}\n" for v in values.tolist()).encode()
+
+    @pytest.mark.parametrize("extra", [0, 1])
+    def test_a_block_of_one_squeezed_slice_and_one_row_more(self, monkeypatch, extra):
+        # Slot rows of 4 + 1 + 4 + 1 bytes: ints up to "-500", the comma, words up
+        # to the four UTF-8 bytes of "βγ", the newline.  A slice holds 40 of them.
+        monkeypatch.setattr(_text, "_SLICE_BYTES", 40 * 10)
+        ints = np.arange(40 + extra) * 37 % 1000 - 500
+        words = _text.str_cells(["", "ab", "βγ"]).take(np.arange(40 + extra) % 3)
+        assert _text._as_column(ints, None).width == words.text.shape[1] == 4
+        got = _text.rows_text([ints, words], ",")
+        assert got.dtype == np.uint8
+        want = "".join(f"{i},{w}\n" for i, w in zip(ints.tolist(), ["", "ab", "βγ"] * 14))
+        assert got.tobytes() == want.encode()
+
+    def test_all_empty_cells(self):
+        empty = _text.str_cells([""] * 5)
+        assert empty.text.shape == (5, 0)
+        assert _text.rows_text([empty], ",").tobytes() == b"\n" * 5
+        gathered = _text.str_cells([""]).take(np.zeros(3, dtype=np.intp))
+        assert _text.rows_text([gathered, empty.take(np.arange(3))], "|", "[", "]").tobytes() == b"[|]" * 3
 
     def test_rows_are_joined_with_any_separators(self):
         floats = np.array([0.5, -1e-7, 3.0])
@@ -105,7 +180,7 @@ class TestCells:
 class TestBlockScratch:
     """rows_text's scratch per block row.  The block holds a row in fixed-width
     slots, at most about twice its text, and measuring one float column holds
-    about 25 uint64 lanes (200 bytes) a value at once; nothing else is kept per
+    about 19 uint64 lanes (150 bytes) a value at once; nothing else is kept per
     row.  Cells copied per column, then copied again into the block, break it."""
 
     ROWS = 4096
@@ -176,6 +251,28 @@ class TestTrajectoryLogText:
         write_trajectory_log(ensemble, tmp_path / "blocks.log")
         whole = (tmp_path / "whole.log").read_text()
         assert (tmp_path / "blocks.log").read_text() == whole == self.reference(ensemble, ",")
+
+    @pytest.mark.parametrize("rows", range(1, 8))
+    def test_ids_and_jump_indices_rendered_once_a_block(self, tmp_path, monkeypatch, rows):
+        int_cells = _text.int_cells
+        # 120 trajectories of 11 to 15 jumps: blocks where trajectory ids go from 9
+        # to 10 or 99 to 100, and jump indices from 9 to 10; blocks whose jump
+        # indices all fit a table of ``rows`` entries, and blocks whose do not.
+        start, params = DressedState("e", 60), ModelParams.from_ratios(2.0, 1.6)
+        ensemble = sample_ensemble(start, params, seed=3, n_trajectories=120)
+        counts = np.diff(ensemble.row_start)
+        assert counts.min() >= 11
+        crossings = [int(ensemble.row_start[i]) % rows != 0 for i in (10, 100)]
+        assert any(crossings) or rows in (1, 2)
+        want = self.reference(ensemble, ",")
+        monkeypatch.setattr(cascade_module, "_BLOCK", rows)
+        tables = []  # no table of ids or jump indices outgrows its block
+        monkeypatch.setattr(_text, "int_cells", lambda x: tables.append(len(x)) or int_cells(x))
+        write_trajectory_log(ensemble, tmp_path / "log.csv")
+        assert (tmp_path / "log.csv").read_text() == want
+        cascade_module.run_cascade(start, params, 3, 120, tmp_path / "run.csv")
+        assert (tmp_path / "run.csv").read_text() == want
+        assert tables and max(tables) <= rows
 
     @pytest.mark.parametrize(
         "start, trajectories",
